@@ -4,11 +4,14 @@
 //! both fresh submissions and jobs found half-done by the restart scan —
 //! the two cases are deliberately the same code path, so the recovery
 //! differential ("a killed job, resumed, is bit-identical to one that
-//! never crashed") is a property of the only loop there is. The loop
-//! mirrors the CLI's `chase --checkpoint --journal --checkpoint-every`
-//! driver exactly: legs of `checkpoint_every` applications, each leg
-//! followed by a synced journal, an atomically published snapshot, and a
-//! re-based journal, under one overall wall-clock deadline.
+//! never crashed") is a property of the only loop there is. The loop runs
+//! legs of `checkpoint_every` applications under one overall wall-clock
+//! deadline and syncs the journal after every leg. Unlike the CLI's
+//! `chase --checkpoint --journal --checkpoint-every` driver, which
+//! snapshots after every leg, it publishes a full snapshot (and re-bases
+//! the journal on it) only at geometrically spaced leg boundaries — see
+//! [`snapshot_due`] — so the bytes a job writes grow linearly with its
+//! size, not quadratically, while a kill still loses no synced work.
 //!
 //! A job directory owns four well-known files (see [`JobPaths`]): the
 //! working snapshot + journal pair the durable loop maintains, the final
@@ -43,8 +46,13 @@ pub struct JobSpec {
     pub max_atoms: Option<usize>,
     /// Approximate memory ceiling in bytes, if any.
     pub max_memory: Option<usize>,
-    /// Snapshot + journal re-base cadence in applications (0 = only the
-    /// final checkpoint, no periodic durability).
+    /// Journal sync cadence in applications: every leg of this many
+    /// applications ends with a synced journal. Full snapshots (with a
+    /// journal re-base) are spaced geometrically on top of it — the first
+    /// after `checkpoint_every` applications, then each once the job has
+    /// run as many applications again as it had at the previous one (see
+    /// [`snapshot_due`]). 0 = only the final checkpoint, no periodic
+    /// durability.
     pub checkpoint_every: u64,
     /// Journal group-commit batch size (records per `write(2)`).
     pub flush_every: u64,
@@ -132,6 +140,51 @@ pub struct JobReport {
     pub checkpoint_text: String,
     /// The sticky journal error when `outcome` is [`StopReason::Io`].
     pub io_error: Option<String>,
+    /// Full-instance snapshots this run published: working snapshots,
+    /// the recovery republish, and the final checkpoint.
+    pub snapshots: u64,
+    /// Bytes of checkpoint text those snapshots wrote.
+    pub snapshot_bytes: u64,
+    /// Successful journal fsyncs (one per leg boundary, one at the end).
+    pub journal_syncs: u64,
+}
+
+/// Whether the leg boundary at `applications` publishes a full snapshot
+/// and re-bases the journal, rather than only syncing it: once the
+/// applications since the last snapshot reach
+/// `max(checkpoint_every, last_snapshot)`. A snapshot re-serializes the
+/// whole instance, so snapshotting every leg writes bytes quadratic in
+/// the job size; doubling the spacing keeps the total linear, and
+/// recovery replays at most about half the run. `checkpoint_every == 0`
+/// never snapshots mid-run.
+pub(crate) fn snapshot_due(last_snapshot: u64, applications: u64, checkpoint_every: u64) -> bool {
+    checkpoint_every > 0
+        && applications.saturating_sub(last_snapshot) >= checkpoint_every.max(last_snapshot)
+}
+
+/// The durable writes one job performed, counted as they succeed.
+#[derive(Debug, Default)]
+struct Writes {
+    snapshots: u64,
+    snapshot_bytes: u64,
+    journal_syncs: u64,
+}
+
+impl Writes {
+    fn snapshot(&mut self, path: &Path, text: &str) -> std::io::Result<()> {
+        write_snapshot_atomic(path, text)?;
+        self.snapshots += 1;
+        self.snapshot_bytes += text.len() as u64;
+        Ok(())
+    }
+
+    fn sync(&mut self, journal: &mut JournalWriter) -> Result<(), String> {
+        journal
+            .sync()
+            .map_err(|e| format!("cannot sync journal {}: {e}", journal.path().display()))?;
+        self.journal_syncs += 1;
+        Ok(())
+    }
 }
 
 /// Runs one job to a terminal state inside `dir`, fresh or recovered.
@@ -193,6 +246,7 @@ pub fn run_job(
     };
     machine.set_cancel_token(cancel);
 
+    let mut writes = Writes::default();
     if recovered {
         // Republish the recovered state as the working snapshot *before*
         // the journal is re-based on it (the CLI's `run_recovery` order).
@@ -205,7 +259,7 @@ pub fn run_job(
             .snapshot()
             .to_text()
             .map_err(|e| format!("cannot serialize recovered snapshot: {e}"))?;
-        write_snapshot_atomic(&paths.state_checkpoint(), &text).map_err(|e| {
+        writes.snapshot(&paths.state_checkpoint(), &text).map_err(|e| {
             format!("cannot write checkpoint {}: {e}", paths.state_checkpoint().display())
         })?;
     }
@@ -215,9 +269,11 @@ pub fn run_job(
         .with_flush_every(spec.flush_every);
     machine.set_journal(journal);
 
-    // One overall wall-clock deadline across all snapshot legs, exactly
-    // like the CLI driver.
+    // One overall wall-clock deadline across all legs, exactly like the
+    // CLI driver. The genesis state, or the recovered snapshot just
+    // republished, is the first snapshot.
     let deadline = spec.timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let mut last_snapshot = machine.stats().applications;
     let mut publish_error: Option<String> = None;
     let mut outcome = loop {
         let target = if spec.checkpoint_every > 0 {
@@ -238,11 +294,19 @@ pub fn run_job(
         }
         let stop = machine.run(&budget);
         if stop == StopReason::Applications && target < spec.steps {
-            // Leg boundary with budget to spare: publish and keep going.
-            // A publish failure (ENOSPC, EACCES, injected fault) is a
-            // durability stop, not a server error: the job ends with
-            // StopReason::Io and the named error text.
-            match publish_leg(&mut machine, &paths, spec) {
+            // Leg boundary with budget to spare: sync (and, when due,
+            // snapshot) and keep going. A sync or publish failure (ENOSPC,
+            // EACCES, injected fault) is a durability stop, not a server
+            // error: the job ends with StopReason::Io and the named error
+            // text.
+            let applications = machine.stats().applications;
+            let leg = if snapshot_due(last_snapshot, applications, spec.checkpoint_every) {
+                last_snapshot = applications;
+                publish_leg(&mut machine, &paths, spec, &mut writes)
+            } else {
+                sync_journal(&mut machine, &mut writes)
+            };
+            match leg {
                 Ok(()) => continue,
                 Err(msg) => {
                     publish_error = Some(msg);
@@ -262,8 +326,8 @@ pub fn run_job(
         io_error = publish_error.or_else(|| machine.journal_failed().map(str::to_string));
         let _ = machine.take_journal();
     } else if let Some(mut j) = machine.take_journal() {
-        if let Err(e) = j.sync() {
-            io_error = Some(format!("cannot sync journal {}: {e}", j.path().display()));
+        if let Err(msg) = writes.sync(&mut j) {
+            io_error = Some(msg);
             outcome = StopReason::Io;
         }
     }
@@ -272,7 +336,7 @@ pub fn run_job(
         .snapshot()
         .to_text()
         .map_err(|e| format!("cannot serialize final checkpoint: {e}"))?;
-    write_snapshot_atomic(&paths.final_checkpoint(), &checkpoint_text).map_err(|e| {
+    writes.snapshot(&paths.final_checkpoint(), &checkpoint_text).map_err(|e| {
         format!("cannot write final checkpoint {}: {e}", paths.final_checkpoint().display())
     })?;
 
@@ -285,7 +349,19 @@ pub fn run_job(
         replayed,
         checkpoint_text,
         io_error,
+        snapshots: writes.snapshots,
+        snapshot_bytes: writes.snapshot_bytes,
+        journal_syncs: writes.journal_syncs,
     })
+}
+
+/// Syncs the installed journal in place: a leg boundary with no
+/// snapshot due.
+fn sync_journal(machine: &mut ChaseMachine<'_>, writes: &mut Writes) -> Result<(), String> {
+    let Some(mut j) = machine.take_journal() else { return Ok(()) };
+    let synced = writes.sync(&mut j);
+    machine.set_journal(j);
+    synced
 }
 
 /// Syncs the journal, atomically publishes the working snapshot, and
@@ -295,19 +371,88 @@ fn publish_leg(
     machine: &mut ChaseMachine<'_>,
     paths: &JobPaths,
     spec: &JobSpec,
+    writes: &mut Writes,
 ) -> Result<(), String> {
     let text = machine
         .snapshot()
         .to_text()
         .map_err(|e| format!("cannot serialize snapshot: {e}"))?;
-    if let Some(mut j) = machine.take_journal() {
-        j.sync().map_err(|e| format!("cannot sync journal {}: {e}", j.path().display()))?;
-    }
-    write_snapshot_atomic(&paths.state_checkpoint(), &text)
+    sync_journal(machine, writes)?;
+    writes
+        .snapshot(&paths.state_checkpoint(), &text)
         .map_err(|e| format!("cannot write checkpoint {}: {e}", paths.state_checkpoint().display()))?;
     let j = JournalWriter::for_machine(&paths.journal(), machine)
         .map_err(|e| format!("cannot re-base journal {}: {e}", paths.journal().display()))?
         .with_flush_every(spec.flush_every);
     machine.set_journal(j);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The snapshot points [`snapshot_due`] picks over the leg boundaries
+    /// of a `steps`-application job (the final checkpoint is not a leg).
+    fn snapshot_points(every: u64, steps: u64) -> Vec<u64> {
+        let (mut last, mut points) = (0, Vec::new());
+        let mut applications = every;
+        while every > 0 && applications < steps {
+            if snapshot_due(last, applications, every) {
+                last = applications;
+                points.push(applications);
+            }
+            applications += every;
+        }
+        points
+    }
+
+    #[test]
+    fn snapshots_are_spaced_geometrically() {
+        assert_eq!(snapshot_points(25, 120), [25, 50, 100]);
+        assert_eq!(snapshot_points(256, 5000), [256, 512, 1024, 2048, 4096]);
+        assert_eq!(snapshot_points(0, 120), [] as [u64; 0]);
+        assert!(!snapshot_due(0, 1_000_000, 0), "every = 0 never snapshots mid-run");
+    }
+
+    #[test]
+    fn a_recovered_snapshot_counts_as_the_last_one() {
+        // Recovered at 39 under every = 25: the next legs land at 64, 89.
+        assert!(!snapshot_due(39, 64, 25));
+        assert!(snapshot_due(39, 89, 25));
+    }
+
+    #[test]
+    fn job_report_counts_its_durable_writes() {
+        let _g = crate::failpoint::tests::TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let dir = std::env::temp_dir()
+            .join(format!("chasekit-runner-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("every-25")).unwrap();
+        std::fs::create_dir_all(dir.join("every-0")).unwrap();
+        let program =
+            Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
+        let spec = JobSpec { steps: 120, checkpoint_every: 25, ..JobSpec::server_default() };
+        let report = run_job(&program, &spec, &dir.join("every-25"), CancelToken::new(), None);
+        let report = report.unwrap();
+        assert_eq!(report.outcome, StopReason::Applications);
+        // Snapshots at 25, 50, 100 plus the final checkpoint; syncs at
+        // every leg boundary (25, 50, 75, 100) plus the final one.
+        assert_eq!(report.snapshots, 4);
+        assert_eq!(report.journal_syncs, 5);
+        let last = std::fs::read_to_string(JobPaths::new(&dir.join("every-25")).state_checkpoint());
+        let last = last.unwrap();
+        assert!(report.snapshot_bytes > (last.len() + report.checkpoint_text.len()) as u64);
+
+        // every = 0: one leg, so only the final sync and checkpoint.
+        let spec = JobSpec { checkpoint_every: 0, ..spec };
+        let once = run_job(&program, &spec, &dir.join("every-0"), CancelToken::new(), None);
+        let once = once.unwrap();
+        assert_eq!((once.snapshots, once.journal_syncs), (1, 1));
+        assert_eq!(once.snapshot_bytes, once.checkpoint_text.len() as u64);
+        assert_eq!(once.checkpoint_text, report.checkpoint_text, "cadence changes no result");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

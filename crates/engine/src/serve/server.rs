@@ -136,6 +136,11 @@ struct Counters {
     failed: AtomicU64,
     rejected: AtomicU64,
     cache_hits: AtomicU64,
+    /// Durable writes summed over finished `run_job` calls (see
+    /// [`JobReport`](crate::serve::JobReport)).
+    snapshots: AtomicU64,
+    snapshot_bytes: AtomicU64,
+    journal_syncs: AtomicU64,
 }
 
 /// The saturated-result cache, bounded: once `capacity` entries are held,
@@ -360,6 +365,10 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
                 break;
             }
             let Ok(mut stream) = conn else { continue };
+            // Every response is one complete line in one write; with Nagle
+            // off it leaves at once instead of waiting out the peer's
+            // delayed ACK.
+            let _ = stream.set_nodelay(true);
             let cap = accept_shared.config.max_connections.max(1);
             if accept_shared.connections.fetch_add(1, Ordering::AcqRel) >= cap {
                 accept_shared.connections.fetch_sub(1, Ordering::AcqRel);
@@ -482,6 +491,10 @@ fn execute_job(
     });
 
     let report = run_job(&program, &stored.spec, &stored.dir, cancel, sink)?;
+    let c = &shared.counters;
+    c.snapshots.fetch_add(report.snapshots, Ordering::Relaxed);
+    c.snapshot_bytes.fetch_add(report.snapshot_bytes, Ordering::Relaxed);
+    c.journal_syncs.fetch_add(report.journal_syncs, Ordering::Relaxed);
 
     let user_cancelled = lock(&shared.jobs).get(id).is_some_and(|e| e.user_cancelled);
     if report.outcome == StopReason::Cancelled && !user_cancelled {
@@ -553,9 +566,14 @@ impl Write for ChannelWriter {
 // Connections.
 // ---------------------------------------------------------------------------
 
-fn send_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+/// Sends `line` and its terminating `\n` in one `write_all`. Two writes
+/// would leave the lone newline for Nagle's algorithm to hold until the
+/// peer's delayed ACK (~40 ms) on every response.
+fn send_line<W: Write>(out: &mut W, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(&buf)
 }
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
@@ -1010,6 +1028,82 @@ fn stats_response(shared: &Arc<Shared>) -> String {
             ("recovered", Value::Num(shared.recovered.len() as u64)),
             ("queued", Value::Num(queued)),
             ("running", Value::Num(running)),
+            ("snapshots", Value::Num(shared.counters.snapshots.load(Ordering::Relaxed))),
+            ("snapshot_bytes", Value::Num(shared.counters.snapshot_bytes.load(Ordering::Relaxed))),
+            ("journal_syncs", Value::Num(shared.counters.journal_syncs.load(Ordering::Relaxed))),
         ],
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ChaseConfig, ChaseMachine, ChaseVariant};
+    use chasekit_core::Instance;
+
+    /// Accepts every byte and records each `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter(Vec<Vec<u8>>);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.0.push(data.to_vec());
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Each write is exactly one `\n`-terminated line.
+    fn assert_one_write_per_line(w: &CountingWriter) {
+        for write in &w.0 {
+            assert_eq!(write.last(), Some(&b'\n'), "write does not end a line: {write:?}");
+            assert_eq!(write.iter().filter(|&&b| b == b'\n').count(), 1, "{write:?}");
+        }
+    }
+
+    #[test]
+    fn each_response_line_is_one_write() {
+        let lines = [
+            protocol::response(true, &[("job", Value::Str("job-0".into()))]),
+            error_response("bad-request", "missing \"op\""),
+            String::new(),
+        ];
+        let mut w = CountingWriter::default();
+        for line in &lines {
+            send_line(&mut w, line).unwrap();
+        }
+        assert_eq!(w.0.len(), lines.len());
+        assert_one_write_per_line(&w);
+        let wire: Vec<u8> = w.0.concat();
+        assert_eq!(wire, lines.iter().map(|l| format!("{l}\n")).collect::<String>().into_bytes());
+    }
+
+    #[test]
+    fn each_streamed_trace_line_is_one_write() {
+        // The job side exactly as `execute_job` wires it: a JSONL sink
+        // into the channel, forwarded line by line through `send_line`.
+        let program =
+            Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
+        let (tx, rx) = mpsc::channel();
+        let sink = Box::new(JsonlSink::new(ChannelWriter { tx, buf: Vec::new() }, &program));
+        let genesis = Instance::from_atoms(program.facts().iter().cloned());
+        let config = ChaseConfig::of(ChaseVariant::SemiOblivious);
+        let mut machine = ChaseMachine::new_with_trace(&program, config, genesis, sink);
+        machine.run(&crate::Budget::applications(30));
+        machine.flush_trace();
+        drop(machine);
+
+        let mut w = CountingWriter::default();
+        let mut forwarded = 0;
+        for line in rx {
+            send_line(&mut w, &line).unwrap();
+            forwarded += 1;
+        }
+        assert!(forwarded > 30, "a 30-application chase traces events");
+        assert_eq!(w.0.len(), forwarded);
+        assert_one_write_per_line(&w);
+    }
 }

@@ -63,9 +63,11 @@ options:
   --journal FILE              (chase) write-ahead journal of applications;
                               requires --checkpoint. A crash loses at most
                               the torn final record; recover with --recover
-  --checkpoint-every N        (chase/serve) snapshot + re-base the journal
-                              every N applications; chase requires
-                              --checkpoint, serve applies it to every job
+  --checkpoint-every N        (chase/serve) chase: snapshot + re-base the
+                              journal every N applications (requires
+                              --checkpoint); serve: sync each job's journal
+                              every N applications, snapshotting at N, 2N,
+                              4N, ... applications
   --recover                   (chase) recover from --checkpoint + --journal
                               after a crash: truncate the torn tail, replay
                               the journal, rewrite a clean snapshot, print a

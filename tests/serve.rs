@@ -130,6 +130,12 @@ fn submitted_job_completes_bit_identical_to_a_solo_run() {
     let handle = start(&dir.join("store"), |_| {});
     let mut c = Client::connect(handle.addr());
 
+    // The durable-write counters start at zero.
+    let before = c.round_trip(r#"{"op":"stats"}"#);
+    for key in ["snapshots", "snapshot_bytes", "journal_syncs"] {
+        assert_eq!(before.num(key), Some(0), "{key}");
+    }
+
     let resp = c.round_trip(&format!(
         r#"{{"op":"submit","program":{},"steps":200}}"#,
         json_str(DIVERGING)
@@ -150,8 +156,25 @@ fn submitted_job_completes_bit_identical_to_a_solo_run() {
         JobPaths::new(&dir.join("store").join(&job)).final_checkpoint(),
     )
     .unwrap();
-    let want = solo_checkpoint(&dir.join("solo"), DIVERGING, &spec_with_steps(200));
-    assert_eq!(server_ckpt, want, "server job diverged from the solo run");
+    let solo_dir = dir.join("solo");
+    std::fs::create_dir_all(&solo_dir).unwrap();
+    let solo = run_job(
+        &Program::parse(DIVERGING).unwrap(),
+        &spec_with_steps(200),
+        &solo_dir,
+        CancelToken::new(),
+        None,
+    )
+    .unwrap();
+    assert_eq!(server_ckpt, solo.checkpoint_text, "server job diverged from the solo run");
+
+    // The server adds each job's durable writes into `stats`: here the
+    // one job's, exactly as the solo run reports them.
+    let after = c.round_trip(r#"{"op":"stats"}"#);
+    assert!(solo.snapshots > 0 && solo.snapshot_bytes > 0 && solo.journal_syncs > 0);
+    assert_eq!(after.num("snapshots"), Some(solo.snapshots));
+    assert_eq!(after.num("snapshot_bytes"), Some(solo.snapshot_bytes));
+    assert_eq!(after.num("journal_syncs"), Some(solo.journal_syncs));
 
     // Status keeps answering after completion.
     let status = c.round_trip(&format!(r#"{{"op":"status","job":"{job}"}}"#));

@@ -209,6 +209,12 @@ fn finish_and_compare(server: &Server, store: &Path, job: &str, steps: u64, want
 /// inside the job's durable loop (hits 2+ where hit 1 is the admission
 /// `meta` write, which shares the atomic-publication code path), and the
 /// result window (final checkpoint written, result marker not).
+///
+/// Under `--checkpoint-every 25` the journal is synced at 25, 50, 75 and
+/// 100 applications, but snapshots land only at 25, 50 and 100: the leg
+/// at 75 syncs without snapshotting. The last two plans kill the server
+/// at that leg's sync and inside the leg after it, so recovery resumes
+/// the snapshot at 50 and replays a journal that spans the leg at 75.
 const KILL_PLANS: &[&str] = &[
     "serve.admit=exit:9",
     "journal.append=exit:9@40",
@@ -216,7 +222,31 @@ const KILL_PLANS: &[&str] = &[
     "snapshot.write=exit:9@2",
     "snapshot.rename=exit:9@2",
     "serve.result=exit:9",
+    "journal.sync=exit:9@3",
+    "journal.append=exit:9@90",
 ];
+
+/// Plans whose kill must find the last snapshot at this application
+/// count, with the journal based on it and reaching past the sync-only
+/// leg at 75.
+const SNAPSHOT_AT_KILL: &[(&str, u64)] =
+    &[("journal.sync=exit:9@3", 50), ("journal.append=exit:9@90", 50)];
+
+/// The first line of `text` starting with `prefix`, minus the prefix.
+fn line_after<'a>(text: &'a str, prefix: &str) -> Option<&'a str> {
+    text.lines().find_map(|l| l.strip_prefix(prefix))
+}
+
+/// Asserts a killed job's durable state: snapshot at `at`, journal based
+/// on it and holding the record of application 75.
+fn assert_snapshot_and_journal_span(job_dir: &Path, at: u64) {
+    let ckpt = std::fs::read_to_string(job_dir.join("state.ckpt")).unwrap();
+    let stats = line_after(&ckpt, "stats ").expect("snapshot has a stats line");
+    assert_eq!(stats.split(' ').next(), Some(at.to_string().as_str()), "snapshot applications");
+    let journal = std::fs::read_to_string(job_dir.join("state.journal")).unwrap();
+    assert_eq!(line_after(&journal, "base "), Some(at.to_string().as_str()), "journal base");
+    assert!(line_after(&journal, "r 75 ").is_some(), "journal spans the leg at 75");
+}
 
 #[test]
 fn kill_at_every_server_failpoint_recovers_bit_identical() {
@@ -232,16 +262,18 @@ fn kill_at_every_server_failpoint_recovers_bit_identical() {
         // The submission drives the server into the armed fault. For the
         // admit-window plan the ack never arrives; for the others the job
         // is acknowledged and dies mid-run while we wait on it.
-        match submit(&mut c, STEPS) {
-            None => {}
-            Some(job) => {
-                let _ = c.send(&format!(r#"{{"op":"wait","job":"{job}"}}"#));
-                let _ = c.read_line(); // EOF when the kill lands
-            }
+        let acked = submit(&mut c, STEPS);
+        if let Some(job) = &acked {
+            let _ = c.send(&format!(r#"{{"op":"wait","job":"{job}"}}"#));
+            let _ = c.read_line(); // EOF when the kill lands
         }
         let code = server.wait_for_death(Duration::from_secs(30));
         assert_eq!(code, 9, "`{plan}` must kill the server");
         drop(server);
+        if let Some(&(_, at)) = SNAPSHOT_AT_KILL.iter().find(|(p, _)| p == plan) {
+            let job = acked.as_ref().expect("the job is acknowledged before the kill");
+            assert_snapshot_and_journal_span(&store.join(job), at);
+        }
 
         // Restart on the same store: the scan must hand the admitted job
         // back to the pool, announce it, and complete it identically.
@@ -324,7 +356,7 @@ fn kill_before_admission_marker_discards_the_directory() {
 
 #[test]
 fn sigkill_mid_job_recovers_bit_identical_on_restart() {
-    const STEPS: u64 = 8_000;
+    const STEPS: u64 = 40_000;
     let dir = scratch("sigkill");
     let store = dir.join("store");
 
@@ -332,9 +364,20 @@ fn sigkill_mid_job_recovers_bit_identical_on_restart() {
     let mut c = server.connect();
     let job = submit(&mut c, STEPS).expect("submission is acknowledged");
 
-    // Let the job get properly mid-flight (several snapshot legs in),
-    // then kill the whole server process without ceremony.
-    std::thread::sleep(Duration::from_millis(350));
+    // Let the job get properly mid-flight (several snapshot legs in: the
+    // working snapshot has reached 100 applications), then kill the whole
+    // server process without ceremony. Polling the disk, not sleeping,
+    // keeps the kill mid-job however fast the job runs.
+    let snapshot = store.join(&job).join("state.ckpt");
+    let start = Instant::now();
+    while std::fs::read_to_string(&snapshot)
+        .ok()
+        .and_then(|t| line_after(&t, "stats ")?.split(' ').next()?.parse::<u64>().ok())
+        .is_none_or(|applications| applications < 100)
+    {
+        assert!(start.elapsed() < Duration::from_secs(60), "the job never snapshotted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     server.child.kill().unwrap();
     server.child.wait().unwrap();
     drop(server);
