@@ -197,8 +197,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
 /// journal, with the write-ahead journal appending every admitted trigger,
 /// and with the full durable loop (journal + atomic snapshot every 200
 /// applications). The no-journal row also measures the disabled-failpoint
-/// fast path — every hook on the hot path is behind one relaxed atomic
-/// load. Medians land in `BENCH_journal_overhead.json` at the repo root.
+/// fast path — every hook on the hot path is behind one thread-local
+/// load and a `None` check. Medians land in `BENCH_journal_overhead.json` at the repo root.
 fn bench_journal_overhead(c: &mut Criterion) {
     use chasekit_core::CriticalInstance;
     use chasekit_engine::{write_snapshot_atomic, JournalWriter};

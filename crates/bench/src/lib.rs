@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 
 pub mod exp;
-pub mod fault;
 pub mod parallel;
 pub mod table;
 pub mod truth;

@@ -920,10 +920,6 @@ mod tests {
 
     #[test]
     fn group_commit_short_write_tears_the_batch_to_a_scannable_prefix() {
-        use crate::failpoint;
-        let _g = crate::failpoint::tests::TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir =
             std::env::temp_dir().join(format!("chasekit-journal-gct-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -937,12 +933,12 @@ mod tests {
         let mut m = ChaseMachine::new(&p, ChaseConfig::of(ChaseVariant::Oblivious), initial);
         // Tear the 5th append mid-batch: the batch holds 4 buffered lines
         // plus the current one; 50 bytes lands inside it.
-        failpoint::configure("journal.append=short:50@5").unwrap();
+        let armed = failpoint::arm("journal.append=short:50@5").unwrap();
         for _ in 0..5 {
             m.step().unwrap();
             w.append(m.stats().applications, m.instance.len(), m.instance.null_count());
         }
-        failpoint::clear();
+        drop(armed);
         assert!(w.failed().is_some(), "short write must latch");
         let bytes = std::fs::read(&path).unwrap();
         let scan = scan_journal(&bytes, fp, ChaseVariant::Oblivious).unwrap();

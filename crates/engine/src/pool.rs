@@ -46,10 +46,12 @@
 //!
 //! Each job runs under `catch_unwind`; an injected failpoint panic (the
 //! crash-recovery suite's `round.worker` site) is reported as a
-//! [`Reply::Panicked`] terminal. The driver still drains the full barrier
-//! (keeping the pool reusable and the `Arc` handoff sound), restores the
-//! instance, and only then resumes the unwind — so a worker panic still
-//! unwinds out of `run_parallel` exactly as the scoped version did.
+//! [`Reply::Panicked`] terminal. Jobs carry the driver's failpoint set, so
+//! a plan armed on the driving thread counts hits on every worker. The
+//! driver still drains the full barrier (keeping the pool reusable and the
+//! `Arc` handoff sound), restores the instance, and only then resumes the
+//! unwind — so a worker panic still unwinds out of `run_parallel` exactly
+//! as the scoped version did.
 //! Workers poll the cancel token / deadline between chunks and record
 //! trips in the job's `observed` flag; discovery always runs to
 //! completion so the already-applied round stays checkpoint-consistent
@@ -66,6 +68,7 @@ use std::time::Instant;
 use chasekit_core::{Instance, InstanceView, MatchScratch, Program, Substitution};
 
 use crate::chase::matches_pinned;
+use crate::failpoint::{self, FailpointSet};
 use crate::guard::CancelToken;
 use crate::round::WorkItem;
 
@@ -80,6 +83,8 @@ struct RoundJob {
     cancel: Option<CancelToken>,
     deadline: Option<Instant>,
     chunk: usize,
+    /// The driver's failpoint set, installed by the worker for this job.
+    failpoints: Option<Arc<FailpointSet>>,
 }
 
 impl RoundJob {
@@ -162,6 +167,7 @@ impl DiscoveryPool {
         // stays small.
         let chunk = (items.len() / (self.threads * 4)).clamp(1, 64);
         let next = Arc::new(AtomicUsize::new(0));
+        let failpoints = failpoint::current();
         for tx in &self.job_txs {
             let job = RoundJob {
                 instance: Arc::clone(&instance),
@@ -171,6 +177,7 @@ impl DiscoveryPool {
                 cancel: cancel.clone(),
                 deadline,
                 chunk,
+                failpoints: failpoints.clone(),
             };
             tx.send(job).expect("pool workers outlive the machine");
         }
@@ -193,6 +200,7 @@ impl DiscoveryPool {
             cancel,
             deadline,
             chunk,
+            failpoints,
         };
         let mut mine: Vec<(usize, Vec<Vec<Substitution>>)> = Vec::new();
         let driver_outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -253,6 +261,7 @@ impl Drop for DiscoveryPool {
 fn worker(program: Arc<Program>, jobs: Receiver<RoundJob>, replies: Sender<Reply>) {
     let mut scratch = MatchScratch::default();
     while let Ok(job) = jobs.recv() {
+        let _failpoints = failpoint::install(job.failpoints.clone());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_job(&program, &job, &mut scratch, &mut |start, homs| {
                 replies.send(Reply::Chunk { start, homs }).is_ok()
@@ -295,12 +304,62 @@ fn run_job(
         for item in &items[start..end] {
             // Failpoint: the crash-recovery suite injects worker panics
             // here to prove a dead round leaves nothing behind.
-            crate::failpoint::trip(crate::failpoint::points::ROUND_WORKER);
+            failpoint::trip(failpoint::points::ROUND_WORKER);
             let view = InstanceView::prefix(&job.instance, item.horizon);
             homs.push(matches_pinned(program, &view, item.rule, item.atom, scratch));
         }
         if !deliver(start, homs) {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker runs each job under the failpoint set the job carries,
+    /// not under whatever its own thread has armed (nothing).
+    #[test]
+    fn workers_run_jobs_under_the_drivers_failpoints() {
+        let program = Arc::new(Program::parse("p(a). p(X) -> q(X).").unwrap());
+        let mut instance = Instance::default();
+        let (atom, _) = instance.insert(program.facts()[0].clone());
+        let (job_tx, job_rx) = channel();
+        let (reply_tx, reply_rx) = channel();
+        let worker = {
+            let program = Arc::clone(&program);
+            std::thread::spawn(move || worker(program, job_rx, reply_tx))
+        };
+        let job = |failpoints| RoundJob {
+            instance: Arc::new(instance.clone()),
+            items: Arc::new(vec![WorkItem { atom, horizon: 1, rule: 0 }]),
+            next: Arc::new(AtomicUsize::new(0)),
+            observed: Arc::new(AtomicBool::new(false)),
+            cancel: None,
+            deadline: None,
+            chunk: 1,
+            failpoints,
+        };
+        let terminal = |rx: &Receiver<Reply>| loop {
+            match rx.recv().unwrap() {
+                Reply::Chunk { .. } => continue,
+                other => return other,
+            }
+        };
+
+        let _armed = failpoint::arm("round.worker=panic@2").unwrap();
+        // Hit 1 on the worker, carried by the job: no fault yet.
+        job_tx.send(job(failpoint::current())).unwrap();
+        assert!(matches!(terminal(&reply_rx), Reply::Done));
+        // A job without the set leaves the counter alone ...
+        job_tx.send(job(None)).unwrap();
+        assert!(matches!(terminal(&reply_rx), Reply::Done));
+        // ... so the next carried hit is the 2nd, and it fires.
+        job_tx.send(job(failpoint::current())).unwrap();
+        assert!(matches!(terminal(&reply_rx), Reply::Panicked(_)));
+
+        drop(job_tx);
+        worker.join().unwrap();
     }
 }

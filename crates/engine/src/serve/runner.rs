@@ -424,9 +424,6 @@ mod tests {
 
     #[test]
     fn job_report_counts_its_durable_writes() {
-        let _g = crate::failpoint::tests::TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir()
             .join(format!("chasekit-runner-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -37,7 +37,7 @@ use chasekit_core::Program;
 
 use crate::checkpoint::program_fingerprint;
 use crate::incremental::{edited_program, parse_edit_script};
-use crate::failpoint::{self, points};
+use crate::failpoint::{self, points, FailpointSet};
 use crate::serve::protocol::{
     self, error_response, parse_request, read_line_capped, ReadLine, Request, SubmitOverrides,
     Value,
@@ -199,6 +199,8 @@ struct Shared {
     counters: Counters,
     /// Job ids the startup scan re-queued.
     recovered: Vec<String>,
+    /// The caller's failpoint set, installed on every server thread.
+    failpoints: Option<Arc<FailpointSet>>,
 }
 
 // Lock helpers: a panicking job thread must never wedge the server, so
@@ -348,13 +350,17 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         shutdown: AtomicBool::new(false),
         counters: Counters::default(),
         recovered,
+        failpoints: failpoint::current(),
         config,
     });
 
     let mut worker_handles = Vec::with_capacity(workers);
     for _ in 0..workers {
         let shared = Arc::clone(&shared);
-        worker_handles.push(std::thread::spawn(move || worker_loop(&shared)));
+        worker_handles.push(std::thread::spawn(move || {
+            let _failpoints = failpoint::install(shared.failpoints.clone());
+            worker_loop(&shared)
+        }));
     }
     shared.queue_cv.notify_all();
 
@@ -383,7 +389,10 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
                 continue;
             }
             let slot = ConnSlot(Arc::clone(&accept_shared));
-            std::thread::spawn(move || handle_connection(&slot.0, stream));
+            std::thread::spawn(move || {
+                let _failpoints = failpoint::install(slot.0.failpoints.clone());
+                handle_connection(&slot.0, stream)
+            });
         }
     });
 

@@ -548,12 +548,16 @@ fn main() -> ExitCode {
         Err(msg) => return arg_error(msg),
     };
     // Fault injection for the crash-recovery suite: armed from the
-    // environment so the spec survives into this exact process.
-    if let Ok(spec) = std::env::var(failpoint::ENV_VAR) {
-        if let Err(msg) = failpoint::configure(&spec) {
-            return arg_error(format!("{}: {msg}", failpoint::ENV_VAR));
-        }
-    }
+    // environment so the spec survives into this exact process. The guard
+    // keeps it armed on this thread (and the threads its runs start)
+    // through dispatch.
+    let _failpoints = match std::env::var(failpoint::ENV_VAR) {
+        Ok(spec) => match failpoint::arm(&spec) {
+            Ok(guard) => Some(guard),
+            Err(msg) => return arg_error(format!("{}: {msg}", failpoint::ENV_VAR)),
+        },
+        Err(_) => None,
+    };
     // `serve` has no rules file to read: dispatch before the file I/O.
     if args.command == "serve" {
         return run_serve(&args);

@@ -9,13 +9,14 @@
 //! derivation-DAG and Skolem-ancestry equality for tracked runs, plus
 //! trace-stream suffix equality for the recovered continuation.
 //!
-//! Failpoint state is process-global, so every in-process test that arms
-//! one serializes on [`FAILPOINT_LOCK`]. The spawned-binary tests pass the
-//! spec through `CHASEKIT_FAILPOINTS` instead and need no lock.
+//! In-process tests arm failpoints with a guard scoped to their own thread
+//! (and the pool threads their runs start), so they run concurrently with
+//! each other and need no lock. The spawned-binary tests pass the spec
+//! through `CHASEKIT_FAILPOINTS` instead.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex};
 
 use proptest::prelude::*;
 
@@ -27,13 +28,6 @@ use chasekit::prelude::*;
 
 const VARIANTS: [ChaseVariant; 3] =
     [ChaseVariant::Oblivious, ChaseVariant::SemiOblivious, ChaseVariant::Restricted];
-
-/// Serializes tests that arm process-global failpoints.
-static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
-
-fn failpoint_guard() -> MutexGuard<'static, ()> {
-    FAILPOINT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// The chase's initial instance for a program: its facts, or the critical
 /// instance when it carries none.
@@ -168,7 +162,6 @@ const FAULT_PLANS: &[&str] = &[
 /// continue — final checkpoint text must equal the uninterrupted run's.
 #[test]
 fn kill_at_every_failpoint_recovers_bit_identical() {
-    let _g = failpoint_guard();
     let dir = scratch("differential");
     let ckpt = dir.join("state.ckpt");
     let journal = dir.join("state.journal");
@@ -181,7 +174,6 @@ fn kill_at_every_failpoint_recovers_bit_identical() {
         for variant in VARIANTS {
             // Uninterrupted reference (sequential; PR-2 guarantees every
             // thread count matches it).
-            failpoint::clear();
             let mut reference = ChaseMachine::new(
                 &program,
                 ChaseConfig::of(variant),
@@ -197,11 +189,11 @@ fn kill_at_every_failpoint_recovers_bit_identical() {
                     }
                     let _ = std::fs::remove_file(&ckpt);
                     let _ = std::fs::remove_file(&journal);
-                    failpoint::configure(plan).unwrap();
+                    let armed = failpoint::arm(plan).unwrap();
                     durable_run_until_crash(
                         &program, variant, &initial, threads, EVERY, TOTAL, &ckpt, &journal, 1,
                     );
-                    failpoint::clear();
+                    drop(armed);
                     let got = recover_and_finish(
                         &program, variant, &initial, threads, TOTAL, &ckpt, &journal,
                     );
@@ -225,7 +217,6 @@ fn kill_at_every_failpoint_recovers_bit_identical() {
 /// set that exercises batching (`round.worker` needs fan-out).
 #[test]
 fn group_commit_kill_at_every_failpoint_recovers_bit_identical() {
-    let _g = failpoint_guard();
     let dir = scratch("group-commit-differential");
     let ckpt = dir.join("state.ckpt");
     let journal = dir.join("state.journal");
@@ -236,7 +227,6 @@ fn group_commit_kill_at_every_failpoint_recovers_bit_identical() {
         let mut program = family.program;
         let initial = seed(&mut program);
         for variant in [ChaseVariant::SemiOblivious, ChaseVariant::Restricted] {
-            failpoint::clear();
             let mut reference =
                 ChaseMachine::new(&program, ChaseConfig::of(variant), initial.clone());
             reference.run(&budget(TOTAL));
@@ -250,7 +240,7 @@ fn group_commit_kill_at_every_failpoint_recovers_bit_identical() {
                         }
                         let _ = std::fs::remove_file(&ckpt);
                         let _ = std::fs::remove_file(&journal);
-                        failpoint::configure(plan).unwrap();
+                        let armed = failpoint::arm(plan).unwrap();
                         durable_run_until_crash(
                             &program,
                             variant,
@@ -262,7 +252,7 @@ fn group_commit_kill_at_every_failpoint_recovers_bit_identical() {
                             &journal,
                             flush_every,
                         );
-                        failpoint::clear();
+                        drop(armed);
                         let got = recover_and_finish(
                             &program, variant, &initial, threads, TOTAL, &ckpt, &journal,
                         );
@@ -340,7 +330,6 @@ impl std::io::Write for SharedBuf {
 /// as it does across checkpoint resume).
 #[test]
 fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
-    let _g = failpoint_guard();
     let dir = scratch("trace-suffix");
     let ckpt = dir.join("t.ckpt");
     let journal = dir.join("t.journal");
@@ -350,7 +339,6 @@ fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
 
     for variant in VARIANTS {
         // Uninterrupted traced reference.
-        failpoint::clear();
         let reference = SharedBuf(Arc::new(Mutex::new(Vec::new())));
         let sink: Box<dyn TraceSink> = Box::new(JsonlSink::new(reference.clone(), &program));
         let mut machine = ChaseMachine::new_with_trace(
@@ -367,9 +355,9 @@ fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
         // continuation.
         let _ = std::fs::remove_file(&ckpt);
         let _ = std::fs::remove_file(&journal);
-        failpoint::configure("journal.append=error@31").unwrap();
+        let armed = failpoint::arm("journal.append=error@31").unwrap();
         durable_run_until_crash(&program, variant, &initial, 1, 20, 80, &ckpt, &journal, 1);
-        failpoint::clear();
+        drop(armed);
 
         let snapshot_text = std::fs::read_to_string(&ckpt).ok();
         let journal_bytes = std::fs::read(&journal).unwrap_or_default();
@@ -403,14 +391,13 @@ fn recovered_continuation_traces_a_suffix_of_the_uninterrupted_trace() {
 /// [`StopReason::Io`] at a step boundary, leaving a consistent machine.
 #[test]
 fn journal_failure_stops_with_io_at_a_boundary() {
-    let _g = failpoint_guard();
     let dir = scratch("io-stop");
     let mut program =
         Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
     let initial = seed(&mut program);
 
     for threads in [1usize, 4] {
-        failpoint::configure("journal.append=error@10").unwrap();
+        let armed = failpoint::arm("journal.append=error@10").unwrap();
         let mut machine = ChaseMachine::new(
             &program,
             ChaseConfig::of(ChaseVariant::Oblivious),
@@ -419,7 +406,7 @@ fn journal_failure_stops_with_io_at_a_boundary() {
         let journal = dir.join(format!("io-{threads}.journal"));
         machine.set_journal(JournalWriter::for_machine(&journal, &machine).unwrap());
         let stop = machine.run_parallel(&budget(100), threads);
-        failpoint::clear();
+        drop(armed);
         assert_eq!(stop, StopReason::Io, "@ {threads} threads");
         assert!(machine.journal_failed().is_some());
         // The machine is still consistent: it can snapshot and resume.
@@ -431,8 +418,6 @@ fn journal_failure_stops_with_io_at_a_boundary() {
 /// `needs_recovery` draws the line exactly where work would be lost.
 #[test]
 fn needs_recovery_spots_unreplayed_tails() {
-    let _g = failpoint_guard();
-    failpoint::clear();
     let dir = scratch("needs-recovery");
     let journal = dir.join("n.journal");
     let mut program =
@@ -459,13 +444,59 @@ fn needs_recovery_spots_unreplayed_tails() {
     assert!(!needs_recovery(&fresh, b""));
 }
 
+/// An armed plan belongs to the thread that armed it: a sibling test's
+/// plan neither fires inside another test's run nor is spent by it.
+/// Thread A arms a torn truncate and parks; thread B then opens a journal
+/// and runs a journaled chase untouched; A's own open then trips the
+/// fault on its first truncate.
+#[test]
+fn armed_failpoints_stay_on_their_own_thread() {
+    let dir = scratch("thread-scoped");
+    let mut program =
+        Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
+    let initial = seed(&mut program);
+    let cfg = ChaseConfig::of(ChaseVariant::SemiOblivious);
+    let (armed, released) = (Barrier::new(2), Barrier::new(2));
+
+    std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            let _armed = failpoint::arm("journal.truncate=short:10").unwrap();
+            armed.wait();
+            released.wait();
+            let machine = ChaseMachine::new(&program, cfg, initial.clone());
+            JournalWriter::for_machine(&dir.join("a.journal"), &machine).map(|_| ())
+        });
+        armed.wait();
+        let b = scope
+            .spawn(|| {
+                let mut machine = ChaseMachine::new(&program, cfg, initial.clone());
+                let writer = JournalWriter::for_machine(&dir.join("b.journal"), &machine)?;
+                machine.set_journal(writer);
+                let stop = machine.run(&budget(30));
+                Ok::<_, std::io::Error>((
+                    stop,
+                    machine.stats().applications,
+                    machine.journal_failed().is_some(),
+                ))
+            })
+            .join();
+        released.wait();
+        let a = a.join().unwrap();
+        let b = b.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        assert_eq!(b.unwrap(), (StopReason::Applications, 30, false), "B must run unfaulted");
+        let err = a.unwrap_err();
+        assert!(err.to_string().contains("journal.truncate"), "A's fault must fire: {err}");
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Corruption tolerance: no bytes on disk may panic the recovery path.
 // ---------------------------------------------------------------------------
 
 /// Reference states for every application count, plus the crash-scene
-/// snapshot + journal the corruption cases mutate.
-fn corruption_fixture() -> (Program, Instance, Vec<String>, String, Vec<u8>) {
+/// snapshot + journal the corruption cases mutate. `test` names the
+/// caller's own scratch directory: the two proptests run concurrently.
+fn corruption_fixture(test: &str) -> (Program, Instance, Vec<String>, String, Vec<u8>) {
     let mut program =
         Program::parse("person(bob). person(X) -> hasFather(X, Y), person(Y).").unwrap();
     let initial = seed(&mut program);
@@ -481,7 +512,7 @@ fn corruption_fixture() -> (Program, Instance, Vec<String>, String, Vec<u8>) {
 
     // Snapshot at 12 applications, journal holding records 1..=30 (base 0:
     // the stale-prefix crash window, so skipping is exercised too).
-    let dir = scratch("corruption-fixture");
+    let dir = scratch(test);
     let journal_path = dir.join("c.journal");
     let mut w = ChaseMachine::new(&program, cfg, initial.clone());
     w.set_journal(JournalWriter::for_machine(&journal_path, &w).unwrap());
@@ -504,7 +535,8 @@ proptest! {
         flips in proptest::collection::vec((0usize..4096, 1u8..255), 0..4),
         cut in prop_oneof![Just(None::<usize>), (0usize..4096).prop_map(Some)],
     ) {
-        let (program, initial, state_by_apps, snapshot, mut journal) = corruption_fixture();
+        let (program, initial, state_by_apps, snapshot, mut journal) =
+            corruption_fixture("corrupted-journals");
         for (pos, mask) in flips {
             let idx = pos % journal.len().max(1);
             if let Some(b) = journal.get_mut(idx) {
@@ -548,7 +580,8 @@ proptest! {
         mask in 1u8..255,
         cut in prop_oneof![Just(None::<usize>), (0usize..8192).prop_map(Some)],
     ) {
-        let (program, initial, state_by_apps, snapshot, journal) = corruption_fixture();
+        let (program, initial, state_by_apps, snapshot, journal) =
+            corruption_fixture("corrupted-snapshots");
         let mut bytes = snapshot.clone().into_bytes();
         let changed_len = cut.map(|c| c % (bytes.len() + 1));
         if let Some(c) = changed_len {

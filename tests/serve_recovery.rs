@@ -7,10 +7,10 @@
 //! behavioural suite lives in `tests/serve.rs`; everything here spawns the
 //! actual binary and real processes die.
 //!
-//! Each spawned server is armed through `CHASEKIT_FAILPOINTS`, so no
-//! in-process failpoint lock is needed; tests still run fine with
-//! `RUST_TEST_THREADS=1` (the CI `serve-recovery` job does, mirroring
-//! `crash-recovery`).
+//! Each spawned server is armed through `CHASEKIT_FAILPOINTS`, which the
+//! CLI installs on its main thread and `serve` hands to its worker and
+//! connection threads; the tests arm nothing in-process and run
+//! concurrently at any test-thread count.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
