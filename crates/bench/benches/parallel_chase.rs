@@ -13,10 +13,11 @@
 //! the old per-round spawn made it 16×).
 //!
 //! The file also carries two ablation rows. `ablation/indexed_matching`
-//! compares the current sequential median against the seed data layout's
-//! committed baseline (13184 µs at commit c19b342, same workload/budget/
-//! host) — the before/after for the interned-arena + columnar-postings
-//! rebuild. `ablation/incremental` times a single-fact DRed retraction
+//! compares the sequential median against a naive-matching sequential
+//! median (`ChaseConfig::with_naive_matching`: re-match every rule from
+//! scratch after each application) measured in the same run on the same
+//! host — what delta discovery over the indexed postings buys.
+//! `ablation/incremental` times a single-fact DRed retraction
 //! (cone overdelete + re-derivation + completion) on a saturated machine
 //! against re-chasing the edited instance from scratch — the case for the
 //! incremental update path over `chasekit update`'s alternative of a full
@@ -38,10 +39,9 @@ use chasekit_engine::{Budget, ChaseConfig, ChaseMachine, ChaseVariant, Edit};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Sequential median on this workload at the seed data layout (owned-atom
-/// storage, tuple-keyed postings, per-round `thread::scope`), committed in
-/// BENCH_parallel_chase.json at c19b342. Same dials, same budget.
-const SEED_LAYOUT_T1_US: u64 = 13_184;
+fn indexed() -> ChaseConfig {
+    ChaseConfig::of(ChaseVariant::SemiOblivious)
+}
 
 fn quick() -> bool {
     std::env::var("CHASEKIT_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
@@ -68,29 +68,30 @@ fn budget() -> Budget {
     Budget { max_applications: apps, max_atoms: atoms, ..Budget::unlimited() }
 }
 
-/// One full chase of `program` at `threads`; returns (applications, atoms)
-/// as the identity fingerprint.
-fn chase_once(program: &Program, threads: usize) -> (u64, usize) {
+/// One full chase of `program` under `config` at `threads`; returns
+/// (applications, atoms) as the identity fingerprint.
+fn chase_once(program: &Program, config: ChaseConfig, threads: usize) -> (u64, usize) {
     let mut p = program.clone();
     let initial = CriticalInstance::build(&mut p).instance;
-    let mut m = ChaseMachine::new(&p, ChaseConfig::of(ChaseVariant::SemiOblivious), initial);
+    let mut m = ChaseMachine::new(&p, config, initial);
     let _ = m.run_parallel(&budget(), threads);
     (m.stats().applications, m.instance().len())
 }
 
 /// Chases the whole population once; returns total wall-clock microseconds.
-fn sweep_us(programs: &[Program], threads: usize) -> u64 {
+fn sweep_us(programs: &[Program], config: ChaseConfig, threads: usize) -> u64 {
     let start = Instant::now();
     for p in programs {
-        black_box(chase_once(p, threads));
+        black_box(chase_once(p, config, threads));
     }
     start.elapsed().as_micros() as u64
 }
 
 /// Median of repeated sweeps.
-fn median_us(programs: &[Program], threads: usize) -> u64 {
+fn median_us(programs: &[Program], config: ChaseConfig, threads: usize) -> u64 {
     let repeats = if quick() { 3 } else { 5 };
-    let mut runs: Vec<u64> = (0..repeats).map(|_| sweep_us(programs, threads)).collect();
+    let mut runs: Vec<u64> =
+        (0..repeats).map(|_| sweep_us(programs, config, threads)).collect();
     runs.sort_unstable();
     runs[runs.len() / 2]
 }
@@ -158,10 +159,11 @@ fn bench_parallel_chase(c: &mut Criterion) {
     // land on the identical (applications, atoms) fingerprint — this runs
     // on every host, single-core included; only the *timings* are skipped
     // there.
-    let oracle: Vec<(u64, usize)> = programs.iter().map(|p| chase_once(p, 1)).collect();
+    let oracle: Vec<(u64, usize)> =
+        programs.iter().map(|p| chase_once(p, indexed(), 1)).collect();
     for &threads in &THREADS[1..] {
         for (p, expect) in programs.iter().zip(&oracle) {
-            assert_eq!(&chase_once(p, threads), expect, "diverged at {threads} threads");
+            assert_eq!(&chase_once(p, indexed(), threads), expect, "diverged at {threads} threads");
         }
     }
 
@@ -172,7 +174,7 @@ fn bench_parallel_chase(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(threads),
             &threads,
-            |b, &threads| b.iter(|| sweep_us(&programs, threads)),
+            |b, &threads| b.iter(|| sweep_us(&programs, indexed(), threads)),
         );
     }
     group.finish();
@@ -180,7 +182,7 @@ fn bench_parallel_chase(c: &mut Criterion) {
     // Honest medians for the JSON record (criterion's stub reports its own
     // numbers; these are measured independently so the file stands alone).
     let medians: Vec<(usize, u64)> =
-        timed_threads.iter().map(|&t| (t, median_us(&programs, t))).collect();
+        timed_threads.iter().map(|&t| (t, median_us(&programs, indexed(), t))).collect();
     let t1 = medians[0].1.max(1);
 
     // Sweep rows + t4 speedup: only meaningful with real cores to scale
@@ -199,7 +201,7 @@ fn bench_parallel_chase(c: &mut Criterion) {
             format!("  \"speedup_t4_vs_t1\": {speedup:.3},\n"),
         )
     } else {
-        let t2 = median_us(&programs, 2).max(1);
+        let t2 = median_us(&programs, indexed(), 2).max(1);
         let overhead = t2 as f64 / t1 as f64;
         (
             [
@@ -212,17 +214,17 @@ fn bench_parallel_chase(c: &mut Criterion) {
         )
     };
 
-    // Before/after for the storage rebuild: sequential median on the new
-    // interned layout vs. the committed seed-layout baseline. Plus the
-    // incremental-update case: repairing a one-fact retraction in place
-    // vs. re-chasing the edited instance from scratch.
-    let vs_seed = SEED_LAYOUT_T1_US as f64 / t1 as f64;
+    // Delta discovery against its oracle: the sequential median vs. a
+    // naive-matching sequential median from this run, same population and
+    // budget. Plus the incremental-update case: repairing a one-fact
+    // retraction in place vs. re-chasing the edited instance from scratch.
+    let naive_t1 = median_us(&programs, indexed().with_naive_matching(), 1).max(1);
+    let vs_naive = naive_t1 as f64 / t1 as f64;
     let (inc_us, full_us) = incremental_vs_full_us(&programs);
     let inc_speedup = full_us.max(1) as f64 / inc_us.max(1) as f64;
     let ablation_json = format!(
-        "  \"ablation\": {{\"indexed_matching\": {{\"seed_layout_t1_us\": {SEED_LAYOUT_T1_US}, \
-         \"seed_layout_commit\": \"c19b342\", \"interned_layout_t1_us\": {t1}, \
-         \"speedup_vs_seed\": {vs_seed:.3}}}, \
+        "  \"ablation\": {{\"indexed_matching\": {{\"naive_t1_us\": {naive_t1}, \
+         \"indexed_t1_us\": {t1}, \"speedup_vs_naive\": {vs_naive:.3}}}, \
          \"incremental\": {{\"retract_repair_us\": {inc_us}, \
          \"full_rechase_us\": {full_us}, \
          \"speedup_vs_full_rechase\": {inc_speedup:.3}}}}},\n"
@@ -248,7 +250,10 @@ fn bench_parallel_chase(c: &mut Criterion) {
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel_chase.json");
     std::fs::write(out, &json).expect("write BENCH_parallel_chase.json");
-    eprintln!("parallel_chase: host_cpus = {host_cpus}, t1 = {t1}us, vs seed layout = {vs_seed:.3}x");
+    eprintln!(
+        "parallel_chase: host_cpus = {host_cpus}, t1 = {t1}us, naive t1 = {naive_t1}us \
+         ({vs_naive:.3}x)"
+    );
     eprintln!(
         "parallel_chase: retract+repair = {inc_us}us vs full re-chase = {full_us}us \
          ({inc_speedup:.3}x)"

@@ -3,8 +3,15 @@
 //! The machine keeps a FIFO queue of pending triggers (fairness: every
 //! trigger that arises is eventually considered) and a per-variant identity
 //! set so that each trigger is applied at most once. New triggers are
-//! discovered incrementally: when an atom is added, only body atoms with the
-//! matching predicate are re-matched, pinned to the new atom.
+//! discovered incrementally: when an atom is added, only the rules whose
+//! body mentions its predicate are re-matched, pinned to the new atom
+//! (`ChaseMachine::discover`, the one discovery path for applications and
+//! added facts).
+//!
+//! There is one run loop. [`ChaseMachine::run`] is
+//! [`ChaseMachine::run_parallel`] at one thread: the round driver in
+//! [`crate::round`] chases trigger by trigger whenever rounds cannot fan
+//! out, and polls every guard through one helper before each application.
 //!
 //! Budgets make non-termination observable: a run either **saturates**
 //! (terminating chase — the result is a universal model) or stops at a
@@ -15,12 +22,11 @@
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 use chasekit_core::{
     exists_extension, exists_extension_scratch, for_each_hom, for_each_hom_scratch, AtomId,
-    FxHashMap, FxHashSet, Instance, InstanceView, MatchScratch, NullId, Program, Substitution,
-    Term,
+    FxHashMap, FxHashSet, Instance, InstanceView, MatchScratch, NullId, PredId, Program,
+    Substitution, Term,
 };
 
 use crate::derivation::{Application, DerivationDag};
@@ -173,13 +179,13 @@ pub struct ChaseMachine<'p> {
     /// Periodic progress reporter, polled on the guard-poll cadence.
     pub(crate) progress: Option<ProgressMeter>,
     /// Write-ahead journal, one record per [`apply_core`](Self::apply_core)
-    /// — the apply phase is sequential in both drivers, so sequential and
-    /// parallel-round runs write bit-identical journals. A failed append
-    /// latches a sticky error and the run loops stop with
+    /// — applications are sequential at every thread count, so sequential
+    /// and parallel-round runs write bit-identical journals. A failed
+    /// append latches a sticky error and the run loop stops with
     /// [`StopReason::Io`] at the next step boundary.
     pub(crate) journal: Option<crate::journal::JournalWriter>,
-    /// Reusable matcher buffers for the sequential discovery and
-    /// satisfaction-check paths; parallel-round workers own their own.
+    /// Reusable matcher buffers for discovery and satisfaction checks on
+    /// the driver thread; parallel-round workers own their own.
     pub(crate) scratch: MatchScratch,
     /// Reusable head-image argument buffer for [`apply_core`](Self::apply_core).
     pub(crate) args_buf: Vec<Term>,
@@ -192,6 +198,28 @@ pub struct ChaseMachine<'p> {
     /// must re-open a skip whose satisfaction witness was deleted
     /// (see [`crate::incremental`]); untracked runs record nothing.
     pub(crate) skipped: Vec<Trigger>,
+    /// `PredId` index → the rules whose body mentions that predicate, each
+    /// list ascending (see [`rules_by_pred`]).
+    pub(crate) rules_by_pred: Vec<Vec<usize>>,
+}
+
+/// For each predicate index, the rules whose body mentions it, in
+/// ascending rule order — the order discovery enqueues in, so matching
+/// only these rules admits exactly what matching all rules would.
+pub(crate) fn rules_by_pred(program: &Program) -> Vec<Vec<usize>> {
+    let mut table: Vec<Vec<usize>> = Vec::new();
+    for (rule_idx, rule) in program.rules().iter().enumerate() {
+        for atom in rule.body() {
+            let pred = atom.pred.index();
+            if table.len() <= pred {
+                table.resize_with(pred + 1, Vec::new);
+            }
+            if table[pred].last() != Some(&rule_idx) {
+                table[pred].push(rule_idx);
+            }
+        }
+    }
+    table
 }
 
 impl<'p> ChaseMachine<'p> {
@@ -247,6 +275,7 @@ impl<'p> ChaseMachine<'p> {
             args_buf: Vec::new(),
             pool: None,
             skipped: Vec::new(),
+            rules_by_pred: rules_by_pred(program),
         };
         for rule_idx in 0..program.rules().len() {
             machine.enqueue_matches(rule_idx, None);
@@ -254,9 +283,10 @@ impl<'p> ChaseMachine<'p> {
         machine
     }
 
-    /// Installs a cancellation token; [`run`](Self::run) checks it between
-    /// trigger applications. Clone the token before installing it to keep a
-    /// handle for the controlling thread.
+    /// Installs a cancellation token. The run loop polls it before every
+    /// trigger application, at every thread count; a two-phase parallel
+    /// round also checks it when its discovery ends. Clone the token before
+    /// installing it to keep a handle for the controlling thread.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
@@ -300,33 +330,21 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// The journal's sticky append error, if an installed journal has
-    /// failed. The run loops poll this and stop with [`StopReason::Io`].
+    /// failed. The run loop polls this and stops with [`StopReason::Io`].
     pub fn journal_failed(&self) -> Option<&str> {
         self.journal.as_ref().and_then(|j| j.failed())
     }
 
     /// Installs a periodic progress callback, fired at most every `every`
-    /// on the guard-poll cadence of [`run`](Self::run) /
-    /// [`run_parallel`](Self::run_parallel). Reads the wall clock but
-    /// never touches deterministic state.
+    /// from the run loop's guard poll (every 32 applications, at every
+    /// thread count). Reads the wall clock but never touches deterministic
+    /// state.
     pub fn set_progress(
         &mut self,
         every: std::time::Duration,
         callback: Box<dyn FnMut(&ProgressReport) + Send>,
     ) {
         self.progress = Some(ProgressMeter::new(every, self.stats.applications, callback));
-    }
-
-    /// Fires the progress callback if its interval elapsed.
-    pub(crate) fn poll_progress(&mut self) {
-        if let Some(p) = &mut self.progress {
-            p.poll(
-                self.stats.applications,
-                self.instance.len(),
-                self.queue.len(),
-                self.approx_bytes,
-            );
-        }
     }
 
     /// The approximate resident size of the machine in bytes (instance +
@@ -407,8 +425,8 @@ impl<'p> ChaseMachine<'p> {
 
     /// Admits one candidate trigger: dedups it against the identity set and
     /// enqueues it if fresh, updating stats and the memory estimate. This is
-    /// the single merge point for both the sequential path and the
-    /// parallel-round driver, so admission order fully determines queue
+    /// the single merge point for inline discovery and the two-phase
+    /// round's merge, so admission order fully determines queue
     /// order, the identity set, and the enqueue/dedup counters.
     pub(crate) fn admit_trigger(&mut self, rule_idx: usize, subst: Substitution) {
         let rule = &self.program.rules()[rule_idx];
@@ -504,28 +522,37 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// Applies one trigger unconditionally and discovers the triggers its
-    /// new atoms enable (the sequential path; also the parallel driver's
-    /// narrow-round path, where a frontier too small to fan out is cheaper
-    /// to chase inline than to batch through the two-phase split).
+    /// new atoms enable (the per-application path of the run loop).
     pub(crate) fn apply(&mut self, trigger: Trigger) -> StepEvent {
         let event = self.apply_core(trigger);
+        self.discover(&event.new_atoms);
+        event
+    }
 
-        // Discover triggers enabled by the new atoms.
+    /// Discovers and admits the triggers that `new_atoms` enable. Naive
+    /// matching re-matches every rule from scratch; delta matching matches
+    /// each new atom, in order, against the rules whose body mentions its
+    /// predicate, in ascending rule order.
+    pub(crate) fn discover(&mut self, new_atoms: &[AtomId]) {
         if self.config.naive_matching {
-            if !event.new_atoms.is_empty() {
+            if !new_atoms.is_empty() {
                 for rule_idx in 0..self.program.rules().len() {
                     self.enqueue_matches(rule_idx, None);
                 }
             }
-        } else {
-            for &id in &event.new_atoms {
-                for rule_idx in 0..self.program.rules().len() {
-                    self.enqueue_matches(rule_idx, Some(id));
-                }
+            return;
+        }
+        for &id in new_atoms {
+            let pred = self.instance.atom(id).pred;
+            for k in 0..self.rules_mentioning(pred).len() {
+                self.enqueue_matches(self.rules_mentioning(pred)[k], Some(id));
             }
         }
+    }
 
-        event
+    /// The rules whose body mentions `pred`, ascending.
+    pub(crate) fn rules_mentioning(&self, pred: PredId) -> &[usize] {
+        self.rules_by_pred.get(pred.index()).map_or(&[][..], Vec::as_slice)
     }
 
     /// Applies one trigger unconditionally *without* trigger discovery:
@@ -683,51 +710,12 @@ impl<'p> ChaseMachine<'p> {
     }
 
     /// Runs until saturation or the first guardrail: application cap, atom
-    /// cap, wall-clock deadline, memory ceiling, or cancellation. Always
-    /// stops at a step boundary, so the instance, queue, and derivation DAG
-    /// stay consistent (and snapshot-able) whatever the reason.
+    /// cap, wall-clock deadline, memory ceiling, cancellation, or a failed
+    /// journal. Always stops at a step boundary, so the instance, queue, and
+    /// derivation DAG stay consistent (and snapshot-able) whatever the
+    /// reason. This is [`run_parallel`](Self::run_parallel) at one thread.
     pub fn run(&mut self, budget: &Budget) -> StopReason {
-        let stop = self.run_loop(budget);
-        self.finish(stop)
-    }
-
-    fn run_loop(&mut self, budget: &Budget) -> StopReason {
-        let start = Instant::now();
-        // Wall-clock and memory are polled every `PERIOD` applications;
-        // both are cheap, but not hot-loop cheap on microsecond steps.
-        const PERIOD: u64 = 32;
-        loop {
-            if self.stats.applications >= budget.max_applications {
-                return self.boundary(StopReason::Applications);
-            }
-            if self.instance.len() >= budget.max_atoms {
-                return self.boundary(StopReason::Atoms);
-            }
-            if let Some(token) = &self.cancel {
-                if token.is_cancelled() {
-                    return self.boundary(StopReason::Cancelled);
-                }
-            }
-            if self.journal_failed().is_some() {
-                return self.boundary(StopReason::Io);
-            }
-            if self.stats.applications.is_multiple_of(PERIOD) {
-                if let Some(limit) = budget.max_wall {
-                    if start.elapsed() >= limit {
-                        return self.boundary(StopReason::WallClock);
-                    }
-                }
-                if let Some(ceiling) = budget.max_memory {
-                    if self.approx_bytes >= ceiling {
-                        return self.boundary(StopReason::Memory);
-                    }
-                }
-                self.poll_progress();
-            }
-            if self.step().is_none() {
-                return StopReason::Saturated;
-            }
-        }
+        self.run_parallel(budget, 1)
     }
 
     /// Closes a run for tracing purposes: a guardrail stop is noted as a

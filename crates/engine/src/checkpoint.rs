@@ -248,6 +248,7 @@ impl Checkpoint {
             args_buf: Vec::new(),
             pool: None,
             skipped: Vec::new(),
+            rules_by_pred: crate::chase::rules_by_pred(program),
         })
     }
 

@@ -1,37 +1,44 @@
-//! The parallel-round execution mode: frontier-at-once chase rounds with
-//! concurrent trigger discovery.
+//! The run loop: one driver for sequential runs and for parallel rounds
+//! with concurrent trigger discovery.
 //!
-//! [`ChaseMachine::run_parallel`] drives the chase in **rounds**. Each
-//! round takes the pending-trigger frontier (the queue as it stands at
-//! round start) and splits the work the sequential machine interleaves
-//! into two phases:
+//! [`ChaseMachine::run_parallel`] is the chase's only run loop, and
+//! [`ChaseMachine::run`] is its one-thread case. At every thread count,
+//! pending triggers are drawn in scheduling order, re-checked, and applied
+//! one at a time by the same loop, which polls every guard through one
+//! helper before each application attempt. What the thread count changes
+//! is *when* the triggers an application enables are discovered:
 //!
-//! 1. **Apply** (sequential, cheap): pop the frontier triggers in FIFO
-//!    order and apply each one — satisfaction re-checks for the restricted
-//!    chase, null minting, head-image insertion, derivation/Skolem
-//!    recording. After each application the instance length is recorded as
-//!    that application's *horizon*.
-//! 2. **Discover** (parallel, hot): the atoms born this round are turned
-//!    into `(atom, rule)` work items and fed to the machine's **persistent
-//!    worker pool** ([`crate::pool::DiscoveryPool`] — spawned once on the
-//!    first fanned-out round, parked between rounds, joined on drop), which
-//!    distributes them in chunks through an atomic claim cursor. Each
-//!    worker matches rule bodies pinned to its atom against a **read-only
-//!    prefix view** of the instance clipped to the producing application's
-//!    horizon ([`chasekit_core::InstanceView`]), so it reproduces exactly
-//!    the matches the sequential machine found at that moment. Results are
-//!    merged on the driver thread in deterministic (application, atom,
-//!    rule) order — the order the sequential machine enqueues — through
-//!    the same dedup-and-admit path.
+//! - **Inline**, right after the application: the sequential path. It is
+//!   the whole run whenever rounds cannot fan out: `threads <= 1`, random
+//!   trigger scheduling (the xorshift draw order depends on
+//!   interleaving), or naive matching (the ablation mode re-matches
+//!   everything from scratch per step). Such a run keeps no round
+//!   bookkeeping: it emits no `RoundOpen`/`RoundClose` events and leaves
+//!   [`RoundStats`] all zero.
+//! - **In rounds**, otherwise. Each round takes the pending-trigger
+//!   frontier (the queue as it stands at round start). A frontier too
+//!   small to amortise the pool handshake (fewer than `threads * 4`
+//!   triggers) runs the same inline path, limited to `frontier` pops. A
+//!   wider frontier splits the work into two phases:
 //!
-//! **Narrow rounds** skip the split entirely: a frontier too small to
-//! amortise the pool handshake (fewer than `threads * 4` triggers) is
-//! chased through the sequential per-application path under round
-//! accounting, which is what keeps `--threads N` near sequential speed on
-//! narrow-frontier workloads (and on low-core hosts). The choice is
-//! invisible to the result: the two-phase merge replays the sequential
-//! order by construction, so running the sequential code *is* the
-//! reference behaviour.
+//!   1. **Apply** (sequential, cheap): pop the frontier triggers in FIFO
+//!      order and apply each one — satisfaction re-checks for the
+//!      restricted chase, null minting, head-image insertion,
+//!      derivation/Skolem recording. After each application the instance
+//!      length is recorded as that application's *horizon*.
+//!   2. **Discover** (parallel, hot): the atoms born this round are turned
+//!      into `(atom, rule)` work items and fed to the machine's
+//!      **persistent worker pool** ([`crate::pool::DiscoveryPool`] —
+//!      spawned once on the first fanned-out round, parked between rounds,
+//!      joined on drop), which distributes them in chunks through an
+//!      atomic claim cursor. Each worker matches rule bodies pinned to its
+//!      atom against a **read-only prefix view** of the instance clipped
+//!      to the producing application's horizon
+//!      ([`chasekit_core::InstanceView`]), so it reproduces exactly the
+//!      matches the sequential machine found at that moment. Results are
+//!      merged on the driver thread in deterministic (application, atom,
+//!      rule) order — the order the sequential machine enqueues — through
+//!      the same dedup-and-admit path.
 //!
 //! **Determinism.** Because (a) the apply phase performs the same
 //! applications in the same order as the sequential FIFO machine, (b) the
@@ -48,14 +55,16 @@
 //! [`ChaseStats`], precisely so that stats stay comparable across modes.
 //!
 //! **Guardrails.** Budgets, the wall-clock deadline, the memory ceiling,
-//! and cancellation are checked between applications exactly like the
-//! sequential hot loop, so budget stops land on the same step boundary
-//! with the same [`StopReason`]. Workers additionally poll the deadline
-//! and the [`crate::guard::CancelToken`] between work chunks; a trip observed during
-//! discovery stops the run at the end of the current round (discovery for
-//! already-applied triggers always completes first — that is what keeps
-//! the stopped machine checkpoint-consistent and resumable by either
-//! execution mode).
+//! cancellation, and journal failure are polled before every application
+//! attempt by the one loop, so budget stops land on the same step boundary
+//! with the same [`StopReason`] at every thread count. Only a two-phase
+//! round adds checks: its workers poll the deadline and the
+//! [`crate::guard::CancelToken`] between work chunks, and its boundary
+//! re-checks cancellation, the deadline, and the memory ceiling. A trip
+//! observed during discovery stops the run at the end of the current round
+//! (discovery for already-applied triggers always completes first — that
+//! is what keeps the stopped machine checkpoint-consistent and resumable
+//! by either execution mode).
 //!
 //! [`ChaseStats`]: crate::ChaseStats
 
@@ -111,146 +120,150 @@ enum SlotTrace {
     Applied { app: u64, rule: usize, new_atoms: Vec<AtomId>, duplicates: u64 },
 }
 
+/// What phase 1 of a two-phase round leaves for phase 2.
+struct RoundLog {
+    /// One entry per application that added atoms: the atoms, and the
+    /// instance id bound right afterwards (its horizon).
+    batches: Vec<(Vec<AtomId>, usize)>,
+    /// The round's slots, kept only when a trace sink is installed.
+    slots: Option<Vec<SlotTrace>>,
+}
+
+/// What the run loop does with each trigger it applies.
+enum Apply<'a> {
+    /// Apply it and discover what it enables at once: the sequential path.
+    Inline,
+    /// The same, in a narrow round of a multi-threaded run: also trips the
+    /// `round.worker` failpoint and counts the round's work items.
+    InlineRound,
+    /// Apply it without discovery (phase 1 of a two-phase round), logging
+    /// what phase 2 needs.
+    Deferred(&'a mut RoundLog),
+}
+
 impl ChaseMachine<'_> {
     /// Counters describing the round structure of the latest parallel run
-    /// (all zero for purely sequential machines).
+    /// (all zero for machines whose runs never fanned out).
     pub fn round_stats(&self) -> &RoundStats {
         &self.round_stats
     }
 
-    /// Runs the chase in parallel rounds on `threads` workers until
-    /// saturation or the first guardrail — producing **bit-identical**
-    /// state to [`run`](Self::run) (see the module docs for the argument).
+    /// Runs the chase until saturation or the first guardrail, discovering
+    /// triggers in parallel rounds on `threads` workers where rounds can
+    /// fan out — producing **bit-identical** state at every thread count
+    /// (see the module docs for the argument).
     ///
-    /// Falls back to the sequential loop when it would not help or when
-    /// the configuration pins the execution order in a way rounds cannot
-    /// reproduce: `threads <= 1`, random trigger scheduling (the xorshift
-    /// draw order depends on interleaving), or naive matching (the
-    /// ablation mode re-matches everything from scratch per step).
+    /// Rounds fan out only under FIFO scheduling with delta matching and
+    /// `threads >= 2`; otherwise this is the sequential run, exactly
+    /// [`run`](Self::run).
     pub fn run_parallel(&mut self, budget: &Budget, threads: usize) -> StopReason {
-        if threads <= 1
-            || self.config.scheduling != Scheduling::Fifo
-            || self.config.naive_matching
+        let start = Instant::now();
+        let stop = if threads >= 2
+            && self.config.scheduling == Scheduling::Fifo
+            && !self.config.naive_matching
         {
-            return self.run(budget);
-        }
-        self.round_stats.threads = threads;
-        let stop = self.run_rounds(budget, threads);
+            self.round_stats.threads = threads;
+            self.run_rounds(budget, threads, start)
+        } else {
+            match self.apply_loop(budget, start, usize::MAX, Apply::Inline) {
+                Some(stop) => self.boundary(stop),
+                None => StopReason::Saturated,
+            }
+        };
         self.finish(stop)
     }
 
-    fn run_rounds(&mut self, budget: &Budget, threads: usize) -> StopReason {
-        let start = Instant::now();
-        let deadline = budget.max_wall.map(|w| start + w);
-        // Same wall/memory polling cadence as the sequential hot loop.
+    /// The guard poll before every application attempt: the application
+    /// and atom caps, cancellation, and a failed journal on every call; the
+    /// wall clock, the memory ceiling, and the progress callback every
+    /// `PERIOD` applications (cheap, but not hot-loop cheap on microsecond
+    /// steps).
+    fn poll_guards(&mut self, budget: &Budget, start: Instant) -> Option<StopReason> {
         const PERIOD: u64 = 32;
+        if self.stats.applications >= budget.max_applications {
+            return Some(StopReason::Applications);
+        }
+        if self.instance.len() >= budget.max_atoms {
+            return Some(StopReason::Atoms);
+        }
+        if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+            return Some(StopReason::Cancelled);
+        }
+        if self.journal_failed().is_some() {
+            return Some(StopReason::Io);
+        }
+        if self.stats.applications.is_multiple_of(PERIOD) {
+            if budget.max_wall.is_some_and(|limit| start.elapsed() >= limit) {
+                return Some(StopReason::WallClock);
+            }
+            if budget.max_memory.is_some_and(|ceiling| self.approx_bytes >= ceiling) {
+                return Some(StopReason::Memory);
+            }
+            if let Some(p) = &mut self.progress {
+                p.poll(
+                    self.stats.applications,
+                    self.instance.len(),
+                    self.queue.len(),
+                    self.approx_bytes,
+                );
+            }
+        }
+        None
+    }
 
-        loop {
-            if self.queue.is_empty() {
-                return StopReason::Saturated;
+    /// The run loop: draws up to `pops` pending triggers in scheduling
+    /// order, skips those the restricted chase finds satisfied, and hands
+    /// each other one to `mode`, polling the guards before every
+    /// application attempt. Returns the guard that tripped, or `None` once
+    /// `pops` triggers were drawn or the queue drained.
+    fn apply_loop(
+        &mut self,
+        budget: &Budget,
+        start: Instant,
+        mut pops: usize,
+        mut mode: Apply<'_>,
+    ) -> Option<StopReason> {
+        while pops > 0 {
+            if let Some(stop) = self.poll_guards(budget, start) {
+                return Some(stop);
             }
-            self.round_stats.rounds += 1;
-            let frontier = self.queue.len();
-            self.round_stats.max_frontier = self.round_stats.max_frontier.max(frontier);
-            if let Some(t) = &mut self.trace {
-                t.note(TraceEvent::RoundOpen { round: self.round_stats.rounds, frontier });
-            }
-            // Narrow rounds: a frontier too small to amortise the fan-out
-            // handshake runs the plain sequential path (apply + immediate
-            // discovery) under round accounting. The two-phase split would
-            // overlap nothing here, and its batching, slot log, and merge
-            // cost about as much as the matching they stage — this branch
-            // is what keeps `--threads 2` near sequential speed on
-            // narrow-frontier workloads. Bit-identity is free: the
-            // two-phase merge replays the sequential order by
-            // construction, so running the sequential code *is* the
-            // reference behaviour.
-            if frontier < threads * 4 {
-                if let Some(stop) = self.narrow_round(budget, frontier, start) {
-                    return self.boundary(stop);
+            let trigger = loop {
+                if pops == 0 {
+                    return None;
                 }
-                let cancelled = self.cancel.as_ref().is_some_and(|t| t.is_cancelled());
-                if cancelled || deadline.is_some_and(|d| Instant::now() >= d) {
-                    let reason =
-                        if cancelled { StopReason::Cancelled } else { StopReason::WallClock };
-                    return self.boundary(reason);
+                pops -= 1;
+                let trigger = self.next_trigger()?;
+                if !self.skip_if_satisfied(&trigger) {
+                    break trigger;
                 }
-                if let Some(ceiling) = budget.max_memory {
-                    if self.approx_bytes >= ceiling {
-                        return self.boundary(StopReason::Memory);
+                if let Apply::Deferred(RoundLog { slots: Some(slots), .. }) = &mut mode {
+                    slots.push(SlotTrace::Skipped { rule: trigger.rule });
+                }
+            };
+            match &mut mode {
+                Apply::Inline => {
+                    self.apply(trigger);
+                }
+                Apply::InlineRound => {
+                    // Failpoint: same logical site as the per-item trip of
+                    // two-phase discovery, so `round.worker` plans land on
+                    // narrow rounds too (firing before the application
+                    // keeps the crash scene at a clean step boundary).
+                    crate::failpoint::trip(crate::failpoint::points::ROUND_WORKER);
+                    let event = self.apply(trigger);
+                    // One item per (new atom, rule mentioning its
+                    // predicate), as the two-phase item builder counts.
+                    for &id in &event.new_atoms {
+                        let items = self.rules_mentioning(self.instance.atom(id).pred).len();
+                        self.round_stats.work_items += items as u64;
                     }
                 }
-                continue;
-            }
-            // Suppress core-event emission during the apply phase: the
-            // sequential stream interleaves each application's events with
-            // the admissions it discovers, which in round mode only exist
-            // after phase 2. Phase 1 logs its slots and the merge replays
-            // them (see `SlotTrace`).
-            let trace = self.trace.take();
-            let tracing = trace.is_some();
-            let mut round_log: Vec<SlotTrace> = Vec::new();
-            let mut remaining = frontier;
-            let mut pending_stop: Option<StopReason> = None;
-            // One entry per application of this round: the atoms it added
-            // and the instance length right afterwards (its horizon).
-            let mut batches: Vec<(Vec<AtomId>, usize)> = Vec::new();
-
-            // Phase 1: apply the frontier in FIFO order, guard checks once
-            // per application attempt (mirroring the sequential `run`).
-            'applications: while remaining > 0 {
-                if self.stats.applications >= budget.max_applications {
-                    pending_stop = Some(StopReason::Applications);
-                    break;
-                }
-                if self.instance.len() >= budget.max_atoms {
-                    pending_stop = Some(StopReason::Atoms);
-                    break;
-                }
-                if let Some(token) = &self.cancel {
-                    if token.is_cancelled() {
-                        pending_stop = Some(StopReason::Cancelled);
-                        break;
-                    }
-                }
-                if self.journal_failed().is_some() {
-                    pending_stop = Some(StopReason::Io);
-                    break;
-                }
-                if self.stats.applications.is_multiple_of(PERIOD) {
-                    if let Some(limit) = budget.max_wall {
-                        if start.elapsed() >= limit {
-                            pending_stop = Some(StopReason::WallClock);
-                            break;
-                        }
-                    }
-                    if let Some(ceiling) = budget.max_memory {
-                        if self.approx_bytes >= ceiling {
-                            pending_stop = Some(StopReason::Memory);
-                            break;
-                        }
-                    }
-                    self.poll_progress();
-                }
-                // Pop (skipping satisfied restricted triggers) until one
-                // trigger applies or the frontier is exhausted.
-                loop {
-                    if remaining == 0 {
-                        break 'applications;
-                    }
-                    remaining -= 1;
-                    let trigger = self.next_trigger().expect("frontier is non-empty");
-                    if self.skip_if_satisfied(&trigger) {
-                        if tracing {
-                            round_log.push(SlotTrace::Skipped { rule: trigger.rule });
-                        }
-                        continue;
-                    }
+                Apply::Deferred(log) => {
                     let rule = trigger.rule;
                     let dup_before = self.stats.duplicate_atoms;
                     let event = self.apply_core(trigger);
-                    if tracing {
-                        round_log.push(SlotTrace::Applied {
+                    if let Some(slots) = &mut log.slots {
+                        slots.push(SlotTrace::Applied {
                             app: event.seq,
                             rule,
                             new_atoms: event.new_atoms.clone(),
@@ -262,284 +275,239 @@ impl ChaseMachine<'_> {
                         // they live in slab space: after an incremental
                         // update has tombstoned atoms, the live count
                         // undershoots the id high-water mark.
-                        batches.push((event.new_atoms, self.instance.slab_len()));
+                        log.batches.push((event.new_atoms, self.instance.slab_len()));
                     }
-                    break;
                 }
             }
+        }
+        None
+    }
 
-            // Phase 2: parallel discovery, merged in the deterministic
-            // (application, atom, rule) order — the sequential enqueue
-            // order. Rules whose bodies never mention the new atom's
-            // predicate match emptily and are pre-filtered.
-            let mut items: Vec<WorkItem> = Vec::new();
-            // Item index range of each batch, so the traced merge can
-            // interleave admissions with their producing application.
-            let mut batch_ranges: Vec<(usize, usize)> = Vec::with_capacity(batches.len());
-            for (new_atoms, horizon) in &batches {
-                let lo = items.len();
-                for &atom in new_atoms {
-                    let pred = self.instance.atom(atom).pred;
-                    for (rule_idx, rule) in self.program.rules().iter().enumerate() {
-                        if rule.body().iter().any(|a| a.pred == pred) {
-                            items.push(WorkItem { atom, horizon: *horizon, rule: rule_idx });
-                        }
-                    }
-                }
-                batch_ranges.push((lo, items.len()));
+    fn run_rounds(&mut self, budget: &Budget, threads: usize, start: Instant) -> StopReason {
+        loop {
+            if self.queue.is_empty() {
+                return StopReason::Saturated;
             }
-            self.round_stats.work_items += items.len() as u64;
-
-            let observed = Arc::new(AtomicBool::new(false));
-            let cancel = self.cancel.clone();
-            // Fan out only when the frontier is wide enough to amortise
-            // the pool handshake: each fanned round wakes every worker
-            // and drains a `Done` barrier, which costs a few context
-            // switches — more than the matching a narrow round would
-            // hide (most rounds in chase workloads carry a handful of
-            // items). Requiring ~four items per lane keeps tiny rounds
-            // on the driver; inline discovery runs the same code in the
-            // same item order, so the choice is invisible to the result
-            // (`RoundClose.workers` is an execution-class trace event,
-            // excluded from core traces).
-            let fan =
-                if items.len() < threads * 4 { 1 } else { threads.min(items.len() / 2) };
-            let (items, mut results): (Vec<WorkItem>, Vec<Vec<Substitution>>) = if fan < 2 {
-                let results = items
-                    .iter()
-                    .map(|item| {
-                        // Failpoint: same per-item site as the pool's
-                        // `run_job`, so `round.worker` plans land even
-                        // on rounds below the fan-out cutoff.
-                        crate::failpoint::trip(crate::failpoint::points::ROUND_WORKER);
-                        let view = InstanceView::prefix(&self.instance, item.horizon);
-                        matches_pinned(
-                            self.program,
-                            &view,
-                            item.rule,
-                            item.atom,
-                            &mut self.scratch,
-                        )
-                    })
-                    .collect();
-                (items, results)
-            } else {
-                self.round_stats.parallel_rounds += 1;
-                // Lazily spawn the persistent pool (or replace it if this
-                // machine is re-run at a different thread count).
-                if self.pool.as_ref().is_none_or(|p| p.threads() != threads) {
-                    self.pool = Some(DiscoveryPool::new(self.program, threads));
-                }
-                let pool = self.pool.as_ref().expect("pool was just ensured");
-                // Move the instance (and items) behind Arcs for the
-                // discovery barrier; both come back via try_unwrap — see
-                // the pool docs for why the barrier makes this sound.
-                let shared = Arc::new(std::mem::take(&mut self.instance));
-                let items = Arc::new(items);
-                let outcome = pool.discover(
-                    Arc::clone(&shared),
-                    Arc::clone(&items),
-                    cancel.clone(),
-                    deadline,
-                    Arc::clone(&observed),
-                    &mut self.scratch,
-                );
-                let Ok(reclaimed) = Arc::try_unwrap(shared) else {
-                    unreachable!("every worker dropped its instance handle at the barrier")
-                };
-                self.instance = reclaimed;
-                let Ok(items) = Arc::try_unwrap(items) else {
-                    unreachable!("every worker dropped its item handle at the barrier")
-                };
-                match outcome {
-                    Ok(results) => (items, results),
-                    // A worker panicked (injected failpoint): re-raise on
-                    // the driver thread, exactly like the scoped spawn did.
-                    // The instance was restored above, so the machine the
-                    // unwind abandons is structurally sound.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            };
-            self.trace = trace;
-            if self.trace.is_some() {
-                // Traced merge: replay each slot's suppressed events, then
-                // admit that application's discoveries — the sequential
-                // machine's exact emission order, through the same
-                // dedup-and-admit path.
-                let mut next_batch = 0;
-                for slot in round_log {
-                    match slot {
-                        SlotTrace::Skipped { rule } => {
-                            if let Some(t) = &mut self.trace {
-                                t.core(TraceEvent::TriggerSkipped { rule });
-                            }
-                        }
-                        SlotTrace::Applied { app, rule, new_atoms, duplicates } => {
-                            if let Some(t) = &mut self.trace {
-                                t.core(TraceEvent::Applied {
-                                    app,
-                                    rule,
-                                    new_atoms: new_atoms.len(),
-                                    duplicates: duplicates as usize,
-                                });
-                            }
-                            for &id in &new_atoms {
-                                let pred = self.instance.atom(id).pred.0;
-                                if let Some(t) = &mut self.trace {
-                                    t.core(TraceEvent::AtomInserted {
-                                        atom: id.index() as u32,
-                                        pred,
-                                        rule,
-                                        app,
-                                    });
-                                }
-                            }
-                            if !new_atoms.is_empty() {
-                                let (lo, hi) = batch_ranges[next_batch];
-                                next_batch += 1;
-                                for idx in lo..hi {
-                                    for subst in std::mem::take(&mut results[idx]) {
-                                        self.admit_trigger(items[idx].rule, subst);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            } else {
-                for (item, homs) in items.iter().zip(results) {
-                    for subst in homs {
-                        self.admit_trigger(item.rule, subst);
-                    }
-                }
-            }
+            self.round_stats.rounds += 1;
+            let frontier = self.queue.len();
+            self.round_stats.max_frontier = self.round_stats.max_frontier.max(frontier);
             if let Some(t) = &mut self.trace {
-                t.note(TraceEvent::RoundClose {
-                    round: self.round_stats.rounds,
-                    work_items: items.len(),
-                    workers: if fan < 2 { 1 } else { fan },
-                });
+                t.note(TraceEvent::RoundOpen { round: self.round_stats.rounds, frontier });
             }
-
-            if let Some(stop) = pending_stop {
-                return self.boundary(stop);
-            }
-            // A trip observed during discovery (by a worker or just now)
-            // ends the run at this round boundary instead of paying for
-            // another round of applications.
-            let tripped_now = cancel.as_ref().is_some_and(|t| t.is_cancelled())
-                || deadline.is_some_and(|d| Instant::now() >= d);
-            if observed.load(Ordering::Relaxed) || tripped_now {
-                let reason = if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                    StopReason::Cancelled
-                } else {
-                    StopReason::WallClock
-                };
-                return self.boundary(reason);
-            }
-            // Memory accounting for pending triggers lands at the merge, so
-            // mid-round ceiling checks undercount; the round boundary is
-            // where the estimate is exact (and equals the sequential
-            // machine's at the same application count). A memory stop may
-            // therefore land up to one round later than sequentially — it
-            // is a resource guard, not part of the deterministic state.
-            if let Some(ceiling) = budget.max_memory {
-                if self.approx_bytes >= ceiling {
-                    return self.boundary(StopReason::Memory);
+            // Narrow rounds: a frontier too small to amortise the fan-out
+            // handshake runs the inline path, whose core trace events need
+            // no suppress-and-replay. The two-phase split would overlap
+            // nothing here, and its batching, slot log, and merge cost
+            // about as much as the matching they stage. Bit-identity is
+            // free: the two-phase merge replays the inline order by
+            // construction.
+            let stop = if frontier < threads * 4 {
+                let items_before = self.round_stats.work_items;
+                let stop = self.apply_loop(budget, start, frontier, Apply::InlineRound);
+                if let Some(t) = &mut self.trace {
+                    t.note(TraceEvent::RoundClose {
+                        round: self.round_stats.rounds,
+                        work_items: (self.round_stats.work_items - items_before) as usize,
+                        workers: 1,
+                    });
                 }
+                stop
+            } else {
+                self.two_phase_round(budget, threads, frontier, start)
+            };
+            if let Some(stop) = stop {
+                return self.boundary(stop);
             }
         }
     }
 
-    /// One narrow round: chases exactly `frontier` queue entries through
-    /// the sequential per-application path (apply + immediate discovery),
-    /// with the same per-attempt guard checks as the two-phase apply loop.
-    /// Core trace events are emitted directly in sequential order — no
-    /// suppress-and-replay needed. Emits the round's `RoundClose` and
-    /// returns the pending stop reason, if any guard tripped.
-    fn narrow_round(
+    /// One round over a frontier wide enough to fan out: apply it, then
+    /// discover in parallel and merge. Returns the guard that tripped
+    /// during the round or at its boundary.
+    fn two_phase_round(
         &mut self,
         budget: &Budget,
+        threads: usize,
         frontier: usize,
         start: Instant,
     ) -> Option<StopReason> {
-        const PERIOD: u64 = 32;
-        let mut pending_stop: Option<StopReason> = None;
-        let mut work_items = 0usize;
-        let mut remaining = frontier;
-        'applications: while remaining > 0 {
-            if self.stats.applications >= budget.max_applications {
-                pending_stop = Some(StopReason::Applications);
-                break;
+        let deadline = budget.max_wall.map(|w| start + w);
+        // Suppress core-event emission during the apply phase: the
+        // sequential stream interleaves each application's events with
+        // the admissions it discovers, which in round mode only exist
+        // after phase 2. Phase 1 logs its slots and the merge replays
+        // them (see `SlotTrace`).
+        let trace = self.trace.take();
+        let mut log = RoundLog { batches: Vec::new(), slots: trace.is_some().then(Vec::new) };
+
+        // Phase 1: apply the frontier in FIFO order.
+        let pending_stop = self.apply_loop(budget, start, frontier, Apply::Deferred(&mut log));
+
+        // Phase 2: parallel discovery, merged in the deterministic
+        // (application, atom, rule) order — the sequential enqueue
+        // order. Only rules whose bodies mention the new atom's predicate
+        // can match it.
+        let mut items: Vec<WorkItem> = Vec::new();
+        // Item index range of each batch, so the traced merge can
+        // interleave admissions with their producing application.
+        let mut batch_ranges: Vec<(usize, usize)> = Vec::with_capacity(log.batches.len());
+        for (new_atoms, horizon) in &log.batches {
+            let lo = items.len();
+            for &atom in new_atoms {
+                let rules = self.rules_mentioning(self.instance.atom(atom).pred);
+                items.extend(rules.iter().map(|&rule| WorkItem { atom, horizon: *horizon, rule }));
             }
-            if self.instance.len() >= budget.max_atoms {
-                pending_stop = Some(StopReason::Atoms);
-                break;
+            batch_ranges.push((lo, items.len()));
+        }
+        self.round_stats.work_items += items.len() as u64;
+
+        let observed = Arc::new(AtomicBool::new(false));
+        let cancel = self.cancel.clone();
+        // Fan out only when the frontier is wide enough to amortise
+        // the pool handshake: each fanned round wakes every worker
+        // and drains a `Done` barrier, which costs a few context
+        // switches — more than the matching a narrow round would
+        // hide (most rounds in chase workloads carry a handful of
+        // items). Requiring ~four items per lane keeps tiny rounds
+        // on the driver; inline discovery runs the same code in the
+        // same item order, so the choice is invisible to the result
+        // (`RoundClose.workers` is an execution-class trace event,
+        // excluded from core traces).
+        let fan = if items.len() < threads * 4 { 1 } else { threads.min(items.len() / 2) };
+        let (items, mut results): (Vec<WorkItem>, Vec<Vec<Substitution>>) = if fan < 2 {
+            let results = items
+                .iter()
+                .map(|item| {
+                    // Failpoint: same per-item site as the pool's
+                    // `run_job`, so `round.worker` plans land even
+                    // on rounds below the fan-out cutoff.
+                    crate::failpoint::trip(crate::failpoint::points::ROUND_WORKER);
+                    let view = InstanceView::prefix(&self.instance, item.horizon);
+                    matches_pinned(self.program, &view, item.rule, item.atom, &mut self.scratch)
+                })
+                .collect();
+            (items, results)
+        } else {
+            self.round_stats.parallel_rounds += 1;
+            // Lazily spawn the persistent pool (or replace it if this
+            // machine is re-run at a different thread count).
+            if self.pool.as_ref().is_none_or(|p| p.threads() != threads) {
+                self.pool = Some(DiscoveryPool::new(self.program, threads));
             }
-            if let Some(token) = &self.cancel {
-                if token.is_cancelled() {
-                    pending_stop = Some(StopReason::Cancelled);
-                    break;
-                }
+            let pool = self.pool.as_ref().expect("pool was just ensured");
+            // Move the instance (and items) behind Arcs for the
+            // discovery barrier; both come back via try_unwrap — see
+            // the pool docs for why the barrier makes this sound.
+            let shared = Arc::new(std::mem::take(&mut self.instance));
+            let items = Arc::new(items);
+            let outcome = pool.discover(
+                Arc::clone(&shared),
+                Arc::clone(&items),
+                cancel.clone(),
+                deadline,
+                Arc::clone(&observed),
+                &mut self.scratch,
+            );
+            let Ok(reclaimed) = Arc::try_unwrap(shared) else {
+                unreachable!("every worker dropped its instance handle at the barrier")
+            };
+            self.instance = reclaimed;
+            let Ok(items) = Arc::try_unwrap(items) else {
+                unreachable!("every worker dropped its item handle at the barrier")
+            };
+            match outcome {
+                Ok(results) => (items, results),
+                // A worker panicked (injected failpoint): re-raise on
+                // the driver thread, exactly like the scoped spawn did.
+                // The instance was restored above, so the machine the
+                // unwind abandons is structurally sound.
+                Err(payload) => std::panic::resume_unwind(payload),
             }
-            if self.journal_failed().is_some() {
-                pending_stop = Some(StopReason::Io);
-                break;
-            }
-            if self.stats.applications.is_multiple_of(PERIOD) {
-                if let Some(limit) = budget.max_wall {
-                    if start.elapsed() >= limit {
-                        pending_stop = Some(StopReason::WallClock);
-                        break;
+        };
+        self.trace = trace;
+        if let Some(slots) = log.slots {
+            // Traced merge: replay each slot's suppressed events, then
+            // admit that application's discoveries — the sequential
+            // machine's exact emission order, through the same
+            // dedup-and-admit path.
+            let mut next_batch = 0;
+            for slot in slots {
+                match slot {
+                    SlotTrace::Skipped { rule } => {
+                        if let Some(t) = &mut self.trace {
+                            t.core(TraceEvent::TriggerSkipped { rule });
+                        }
+                    }
+                    SlotTrace::Applied { app, rule, new_atoms, duplicates } => {
+                        if let Some(t) = &mut self.trace {
+                            t.core(TraceEvent::Applied {
+                                app,
+                                rule,
+                                new_atoms: new_atoms.len(),
+                                duplicates: duplicates as usize,
+                            });
+                        }
+                        for &id in &new_atoms {
+                            let pred = self.instance.atom(id).pred.0;
+                            if let Some(t) = &mut self.trace {
+                                t.core(TraceEvent::AtomInserted {
+                                    atom: id.index() as u32,
+                                    pred,
+                                    rule,
+                                    app,
+                                });
+                            }
+                        }
+                        if !new_atoms.is_empty() {
+                            let (lo, hi) = batch_ranges[next_batch];
+                            next_batch += 1;
+                            for idx in lo..hi {
+                                for subst in std::mem::take(&mut results[idx]) {
+                                    self.admit_trigger(items[idx].rule, subst);
+                                }
+                            }
+                        }
                     }
                 }
-                if let Some(ceiling) = budget.max_memory {
-                    if self.approx_bytes >= ceiling {
-                        pending_stop = Some(StopReason::Memory);
-                        break;
-                    }
-                }
-                self.poll_progress();
             }
-            loop {
-                if remaining == 0 {
-                    break 'applications;
+        } else {
+            for (item, homs) in items.iter().zip(results) {
+                for subst in homs {
+                    self.admit_trigger(item.rule, subst);
                 }
-                remaining -= 1;
-                let trigger = self.next_trigger().expect("frontier is non-empty");
-                if self.skip_if_satisfied(&trigger) {
-                    continue;
-                }
-                // Failpoint: same logical site as the pool's per-item
-                // trip, so `round.worker` plans land on rounds below the
-                // fan-out cutoff too (firing before the application keeps
-                // the crash scene at a clean step boundary).
-                crate::failpoint::trip(crate::failpoint::points::ROUND_WORKER);
-                let event = self.apply(trigger);
-                // Same work-item accounting as the two-phase item
-                // builder: one item per (new atom, rule mentioning its
-                // predicate) pair.
-                for &id in &event.new_atoms {
-                    let pred = self.instance.atom(id).pred;
-                    work_items += self
-                        .program
-                        .rules()
-                        .iter()
-                        .filter(|r| r.body().iter().any(|a| a.pred == pred))
-                        .count();
-                }
-                break;
             }
         }
-        self.round_stats.work_items += work_items as u64;
         if let Some(t) = &mut self.trace {
             t.note(TraceEvent::RoundClose {
                 round: self.round_stats.rounds,
-                work_items,
-                workers: 1,
+                work_items: items.len(),
+                workers: if fan < 2 { 1 } else { fan },
             });
         }
-        pending_stop
+
+        if pending_stop.is_some() {
+            return pending_stop;
+        }
+        // A trip observed during discovery (by a worker or just now)
+        // ends the run at this round boundary instead of paying for
+        // another round of applications.
+        let cancelled = cancel.as_ref().is_some_and(|t| t.is_cancelled());
+        if cancelled {
+            return Some(StopReason::Cancelled);
+        }
+        if observed.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(StopReason::WallClock);
+        }
+        // Memory accounting for pending triggers lands at the merge, so
+        // mid-round ceiling checks undercount; the round boundary is
+        // where the estimate is exact (and equals the sequential
+        // machine's at the same application count). A memory stop may
+        // therefore land up to one round later than sequentially — it
+        // is a resource guard, not part of the deterministic state.
+        if budget.max_memory.is_some_and(|ceiling| self.approx_bytes >= ceiling) {
+            return Some(StopReason::Memory);
+        }
+        None
     }
 }
 
@@ -659,6 +627,28 @@ mod tests {
         assert_eq!(resumed.run_parallel(&more, 4), StopReason::Applications);
     }
 
+    /// A frontier that never reaches `threads * 4` runs the inline path
+    /// with no round-boundary checks, so a memory stop lands where the
+    /// sequential run's does: the ceiling is polled every 32 applications
+    /// in both, and an extra check after each narrow round would stop the
+    /// parallel run as soon as the estimate crosses it.
+    #[test]
+    fn narrow_frontiers_stop_on_the_sequential_memory_boundary() {
+        // One pending trigger at every round start. The estimate grows by
+        // a few hundred bytes per application and crosses this ceiling
+        // between the polls at 32 and 64 applications.
+        const CHAIN: &str = "p(a, b). p(X, Y) -> p(Y, Z).";
+        let budget = Budget::unlimited().with_memory(10_000);
+        let mut seq = machine(CHAIN, ChaseConfig::of(ChaseVariant::Oblivious));
+        let mut par = machine(CHAIN, ChaseConfig::of(ChaseVariant::Oblivious));
+        assert_eq!(seq.run(&budget), StopReason::Memory);
+        assert_eq!(par.run_parallel(&budget, 4), StopReason::Memory);
+        assert_eq!(par.stats().applications, seq.stats().applications);
+        assert_eq!(state_text(&par), state_text(&seq));
+        let rs = par.round_stats();
+        assert!(rs.rounds > 0 && rs.max_frontier < 4 * 4, "{rs:?}");
+    }
+
     #[test]
     fn a_pre_cancelled_token_stops_before_any_application() {
         let mut m = machine(DIVERGING, ChaseConfig::of(ChaseVariant::Oblivious));
@@ -705,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_and_random_scheduling_fall_back_to_the_sequential_loop() {
+    fn single_thread_and_random_scheduling_run_inline_without_rounds() {
         let budget = Budget::applications(60);
 
         let mut seq = machine(DIVERGING, ChaseConfig::of(ChaseVariant::Oblivious));
